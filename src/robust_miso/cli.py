@@ -81,24 +81,20 @@ class ScenarioError(ValueError):
     """Raised for any malformed scenario file or flag set (exit 3)."""
 
 
-def _fail(message: str) -> ScenarioError:
-    return ScenarioError(message)
-
-
 def _real_array(node, name: str) -> np.ndarray:
     arr = np.asarray(node, dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise _fail(f"{name} must contain finite numbers")
+        raise ScenarioError(f"{name} must contain finite numbers")
     return arr
 
 
 def _complex_matrix(node, name: str) -> np.ndarray:
     if not isinstance(node, dict) or set(node) != {"re", "im"}:
-        raise _fail(f"{name} must be an object with re and im arrays")
+        raise ScenarioError(f"{name} must be an object with re and im arrays")
     re = _real_array(node["re"], f"{name}.re")
     im = _real_array(node["im"], f"{name}.im")
     if re.shape != im.shape:
-        raise _fail(f"{name}.re and {name}.im must have equal shapes")
+        raise ScenarioError(f"{name}.re and {name}.im must have equal shapes")
     return re + 1j * im
 
 
@@ -111,41 +107,41 @@ def _per_user(node, k: int, name: str) -> np.ndarray:
 
 def _uncertainty_from_node(node, n: int, k: int):
     if not isinstance(node, dict) or "type" not in node:
-        raise _fail("uncertainty must be an object with a type")
+        raise ScenarioError("uncertainty must be an object with a type")
     kind = node["type"]
     params = node.get("parameters", {})
     if not isinstance(params, dict):
-        raise _fail("uncertainty.parameters must be an object")
+        raise ScenarioError("uncertainty.parameters must be an object")
     if kind == "sphere":
         if "radius" not in params:
-            raise _fail("sphere uncertainty needs a radius")
+            raise ScenarioError("sphere uncertainty needs a radius")
         return SphereUncertainty(_per_user(params["radius"], k, "radius"))
     if kind == "ellipsoid":
         if "shape" not in params:
-            raise _fail("ellipsoid uncertainty needs shape matrices")
+            raise ScenarioError("ellipsoid uncertainty needs shape matrices")
         return EllipsoidUncertainty(_complex_matrix(params["shape"], "shape"))
     if kind == "fdd":
         if "direction_error" not in params:
-            raise _fail("fdd uncertainty needs direction_error")
+            raise ScenarioError("fdd uncertainty needs direction_error")
         return FddUncertainty(float(params["direction_error"]))
     if kind == "box":
         if "halfwidth" not in params:
-            raise _fail("box uncertainty needs a halfwidth")
+            raise ScenarioError("box uncertainty needs a halfwidth")
         return BoxUncertainty(_per_user(params["halfwidth"], k, "halfwidth"))
-    raise _fail(f"unknown uncertainty type {kind!r}")
+    raise ScenarioError(f"unknown uncertainty type {kind!r}")
 
 
 def scenario_from_mapping(data) -> ChannelScenario:
     """Build and validate a ChannelScenario from parsed JSON."""
     if not isinstance(data, dict):
-        raise _fail("scenario file must hold a JSON object")
+        raise ScenarioError("scenario file must hold a JSON object")
     missing = {"n", "k", "noise_power", "rate_targets", "uncertainty", "channels"} - set(data)
     if missing:
-        raise _fail(f"scenario file missing keys: {sorted(missing)}")
+        raise ScenarioError(f"scenario file missing keys: {sorted(missing)}")
     try:
         n, k = int(data["n"]), int(data["k"])
     except (TypeError, ValueError) as exc:
-        raise _fail("n and k must be integers") from exc
+        raise ScenarioError("n and k must be integers") from exc
     chan = data["channels"]
     if isinstance(chan, dict) and "seed" in chan:
         rho = float(chan.get("rho", 1.0))
@@ -153,7 +149,7 @@ def scenario_from_mapping(data) -> ChannelScenario:
     else:
         presumed = _complex_matrix(chan, "channels")
     if presumed.shape != (n, k):
-        raise _fail(f"channels must be {n} x {k}, got {presumed.shape}")
+        raise ScenarioError(f"channels must be {n} x {k}, got {presumed.shape}")
     try:
         return ChannelScenario(
             presumed,
@@ -162,7 +158,7 @@ def scenario_from_mapping(data) -> ChannelScenario:
             _uncertainty_from_node(data["uncertainty"], n, k),
         )
     except ValueError as exc:
-        raise _fail(str(exc)) from exc
+        raise ScenarioError(str(exc)) from exc
 
 
 def load_scenario(path: str) -> ChannelScenario:
@@ -170,9 +166,9 @@ def load_scenario(path: str) -> ChannelScenario:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise _fail(f"cannot read scenario file: {exc}") from exc
+        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"scenario file is not valid JSON: {exc}") from exc
+        raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     return scenario_from_mapping(data)
 
 
@@ -226,7 +222,7 @@ def _settings_from_tol(tol: float | None) -> conic.SolverSettings | None:
     if tol is None:
         return None
     if tol <= 0.0:
-        raise _fail("--tol must be positive")
+        raise ScenarioError("--tol must be positive")
     return conic.SolverSettings(tol_feas=tol, tol_gap=tol)
 
 
@@ -239,6 +235,13 @@ def _solver_stats(outcome: conic.SolveOutcome) -> dict:
         "gap_res": outcome.gap_res,
         "message": outcome.message,
     }
+
+
+def _failure_exit(status: conic.Status) -> int:
+    """Exit code for a solve that did not reach OPTIMAL."""
+    if status is conic.Status.PRIMAL_INFEASIBLE:
+        return EXIT_INFEASIBLE
+    return EXIT_SOLVER_FAILURE
 
 
 def _margin_entry(value):
@@ -255,9 +258,7 @@ def cmd_solve(args) -> int:
     if outcome.status is not conic.Status.OPTIMAL:
         emit_json({"solver": _solver_stats(outcome)}, args.out)
         print(f"solve: {outcome.status.value}", file=sys.stderr)
-        if outcome.status is conic.Status.PRIMAL_INFEASIBLE:
-            return EXIT_INFEASIBLE
-        return EXIT_SOLVER_FAILURE
+        return _failure_exit(outcome.status)
     solution = extract_solution(index, outcome)
     spectra = [eig_hermitian(wi)[0] for wi in solution.W]
     report = {
@@ -282,7 +283,7 @@ def cmd_certify(args) -> int:
     try:
         report = certificate_report(scenario, v_star=args.v_star)
     except ValueError as exc:
-        raise _fail(str(exc)) from exc
+        raise ScenarioError(str(exc)) from exc
     emit_json(dataclasses.asdict(report), args.out)
     return EXIT_OK
 
@@ -290,13 +291,13 @@ def cmd_certify(args) -> int:
 def cmd_mmf(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.power < 0.0:
-        raise _fail("--power must be nonnegative")
+        raise ScenarioError("--power must be nonnegative")
     try:
         result = mmf_rate(
             scenario, args.power, tol_bits=args.tol, settings=_settings_from_tol(None)
         )
     except ValueError as exc:
-        raise _fail(str(exc)) from exc
+        raise ScenarioError(str(exc)) from exc
     emit_json(dataclasses.asdict(result), args.out)
     return EXIT_OK
 
@@ -305,7 +306,7 @@ def _study_config(args) -> StudyConfig:
     try:
         rates = tuple(float(tok) for tok in args.rates.split(",") if tok.strip())
     except ValueError as exc:
-        raise _fail("--rates must be a comma-separated list of numbers") from exc
+        raise ScenarioError("--rates must be a comma-separated list of numbers") from exc
     try:
         return StudyConfig(
             n_antennas=args.n,
@@ -318,7 +319,7 @@ def _study_config(args) -> StudyConfig:
             seed=args.seed,
         )
     except ValueError as exc:
-        raise _fail(str(exc)) from exc
+        raise ScenarioError(str(exc)) from exc
 
 
 def cmd_rank_study(args) -> int:
@@ -347,7 +348,7 @@ def cmd_counterexample(args) -> int:
             args.n, args.k, args.delta, noise_power=args.sigma2
         )
     except ValueError as exc:
-        raise _fail(str(exc)) from exc
+        raise ScenarioError(str(exc)) from exc
     report = gap_audit(scenario, record)
     emit_json(dataclasses.asdict(report), args.out)
     if report.inconclusive:
@@ -362,9 +363,7 @@ def cmd_audit(args) -> int:
     outcome = conic.solve(program)
     if outcome.status is not conic.Status.OPTIMAL:
         print(f"audit: {outcome.status.value}", file=sys.stderr)
-        if outcome.status is conic.Status.PRIMAL_INFEASIBLE:
-            return EXIT_INFEASIBLE
-        return EXIT_SOLVER_FAILURE
+        return _failure_exit(outcome.status)
     solution = extract_solution(index, outcome)
     try:
         duality = duality_audit(
@@ -377,7 +376,7 @@ def cmd_audit(args) -> int:
         )
         kkt = kkt_rank_audit(solution)
     except ValueError as exc:
-        raise _fail(str(exc)) from exc
+        raise ScenarioError(str(exc)) from exc
     report = {
         "duality": {
             "v_star": duality.v_star,

@@ -18,6 +18,13 @@ to an m x m Schur complement A H^-1 A^T (H is the NT scaling Hessian, whose
 inverse is available in closed form), factored by Cholesky with iterative
 refinement against the full augmented system.
 
+Failure policy: the iteration has one exit for numerical breakdown. When the
+scaling or the Schur factorization fails, the step length collapses, or the
+iteration limit is reached, the solve returns NUMERICAL_FAILURE carrying the
+best iterate seen so far and a message naming the cause. The only in-loop
+remedies are a diagonal jitter when the Schur complement will not factor and
+a QR re-solve of a KKT system that Cholesky solved inaccurately.
+
 Free variables are not supported; callers encode them with equalities plus
 cone blocks. Complex Hermitian blocks enter through their 2n x 2n real
 embedding (see robust_miso.hermitian.real_embedding).
@@ -41,9 +48,6 @@ DEFAULT_MAX_ITER = 200
 _STEP_ETA = 0.99
 # Iterative refinement passes on each KKT solve.
 _KKT_REFINE = 2
-# Consecutive tiny steps / stalled iterations tolerated before re-centering.
-_STALL_STEPS = 3
-_STALL_ITERS = 10
 
 
 class Status(enum.Enum):
@@ -377,21 +381,6 @@ def _batch_diag(vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mehrotra_recenter(ws: _Workspace, x: np.ndarray, s: np.ndarray):
-    """Push an iterate back toward the central ray (one-shot restart)."""
-    prog = ws.prog
-    ex = cone_min_eig(x, prog.cones)
-    es = cone_min_eig(s, prog.cones)
-    dx = max(0.0, -1.5 * ex) + 1e-8
-    ds = max(0.0, -1.5 * es) + 1e-8
-    xh = x + dx * ws.e
-    sh = s + ds * ws.e
-    dot = float(xh @ sh)
-    x_new = xh + (0.5 * dot / float(ws.e @ sh)) * ws.e
-    s_new = sh + (0.5 * dot / float(ws.e @ xh)) * ws.e
-    return x_new, s_new
-
-
 def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOutcome:
     """Run the interior-point iteration, returning a certified outcome."""
     cfg = settings or SolverSettings()
@@ -407,9 +396,6 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
     tau, kappa = 1.0, 1.0
 
     best = None  # (score, outcome fields) fallback diagnostics
-    restarted = False
-    tiny_steps = 0
-    mu_hist: list[float] = []
     it = 0
 
     def _classify(it: int) -> SolveOutcome | None:
@@ -465,12 +451,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
             return out
 
         mu = (float(x @ s) + tau * kappa) / (ws.nu + 1)
-        mu_hist.append(mu)
-        stalled = len(mu_hist) > _STALL_ITERS and mu > 0.5 * mu_hist[-_STALL_ITERS]
 
         try:
-            if stalled and not restarted:
-                raise np.linalg.LinAlgError("progress stalled")
             scal = _Scaling(ws, x, s)
             g_mat = scal.scaled_gram()
             schur = g_mat @ g_mat.T
@@ -487,13 +469,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
             else:
                 raise np.linalg.LinAlgError("Schur factorization failed")
         except np.linalg.LinAlgError as exc:
-            if restarted:
-                return _fail(f"{exc}", it)
-            x, s = _mehrotra_recenter(ws, x, s)
-            tau, kappa = max(tau, 0.1), max(kappa, 0.1)
-            restarted = True
-            mu_hist.clear()
-            continue
+            return _fail(f"{exc}", it)
 
         qr_r: list[np.ndarray | None] = [None]
 
@@ -617,19 +593,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
 
         alpha = min(1.0, _STEP_ETA * step_limit(xb, sb, dtau, dkap))
         if alpha <= 1e-8:
-            tiny_steps += 1
-        else:
-            tiny_steps = 0
-        if tiny_steps >= _STALL_STEPS:
-            if restarted:
-                return _fail("step length collapsed", it)
-            x, s = _mehrotra_recenter(ws, x, s)
-            tau, kappa = max(tau, 0.1), max(kappa, 0.1)
-            restarted = True
-            tiny_steps = 0
-            mu_hist.clear()
-            it += 1
-            continue
+            return _fail("step length collapsed", it)
 
         x = x + alpha * dx
         y = y + alpha * dy

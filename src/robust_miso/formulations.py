@@ -302,6 +302,11 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vec * root) @ vec.conj().T
 
 
+def _hermitian_blocks(x: np.ndarray, slices: tuple[slice, ...], order: int) -> np.ndarray:
+    """Stacked order x order Hermitian matrices from real-embedded svec blocks."""
+    return np.stack([hermitian_from_real_embedding(smat(x[sl], 2 * order)) for sl in slices])
+
+
 @dataclass(frozen=True)
 class RobustIndexMap:
     """Block locations of the robust design program in the solver vector."""
@@ -312,16 +317,10 @@ class RobustIndexMap:
     t_slices: tuple[slice, ...]
 
     def covariances(self, x: np.ndarray) -> np.ndarray:
-        n = self.scenario.n_antennas
-        return np.stack(
-            [hermitian_from_real_embedding(smat(x[sl], 2 * n)) for sl in self.w_slices]
-        )
+        return _hermitian_blocks(x, self.w_slices, self.scenario.n_antennas)
 
     def slack_matrices(self, x: np.ndarray) -> np.ndarray:
-        n1 = self.scenario.n_antennas + 1
-        return np.stack(
-            [hermitian_from_real_embedding(smat(x[sl], 2 * n1)) for sl in self.z_slices]
-        )
+        return _hermitian_blocks(x, self.z_slices, self.scenario.n_antennas + 1)
 
     def multipliers(self, x: np.ndarray) -> np.ndarray:
         return np.stack([x[sl] for sl in self.t_slices])
@@ -337,9 +336,7 @@ class FixedIndexMap:
     slack_slice: slice
 
     def covariances(self, x: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [hermitian_from_real_embedding(smat(x[sl], 2 * self.n)) for sl in self.w_slices]
-        )
+        return _hermitian_blocks(x, self.w_slices, self.n)
 
     def rate_slacks(self, x: np.ndarray) -> np.ndarray:
         return x[self.slack_slice].copy()
@@ -362,9 +359,7 @@ class DualIndexMap:
         return x[self.mu_slice].copy()
 
     def slack_matrices(self, x: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [hermitian_from_real_embedding(smat(x[sl], 2 * self.n)) for sl in self.s_slices]
-        )
+        return _hermitian_blocks(x, self.s_slices, self.n)
 
 
 def build_robust_sdp(scenario: ChannelScenario) -> tuple[ConicProgram, RobustIndexMap]:
@@ -447,6 +442,13 @@ def build_robust_sdp(scenario: ChannelScenario) -> tuple[ConicProgram, RobustInd
     return prog, RobustIndexMap(scenario, w_slices, z_slices, t_slices)
 
 
+def _positive_per_user(values, k: int, name: str) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    if arr.shape != (k,) or not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        raise ValueError(f"{name} must be K positive values")
+    return arr
+
+
 def _validated_channels(channels: np.ndarray) -> np.ndarray:
     arr = np.asarray(channels, dtype=complex)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
@@ -495,12 +497,8 @@ def build_fixed_sdp(
     """
     arr = _validated_channels(channels)
     k = arr.shape[0]
-    noise = np.atleast_1d(np.asarray(noise_power, dtype=float))
-    gam = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if noise.shape != (k,) or not np.all(np.isfinite(noise)) or np.any(noise <= 0.0):
-        raise ValueError("noise_power must be K positive values")
-    if gam.shape != (k,) or not np.all(np.isfinite(gam)) or np.any(gam <= 0.0):
-        raise ValueError("gamma must be K positive values")
+    noise = _positive_per_user(noise_power, k, "noise_power")
+    gam = _positive_per_user(gamma, k, "gamma")
     return _fixed_program(arr, gam, noise)
 
 
@@ -550,12 +548,8 @@ def build_fixed_dual(
     """
     arr = _validated_channels(channels)
     k = arr.shape[0]
-    noise = np.atleast_1d(np.asarray(noise_power, dtype=float))
-    gam = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if noise.shape != (k,) or not np.all(np.isfinite(noise)) or np.any(noise <= 0.0):
-        raise ValueError("noise_power must be K positive values")
-    if gam.shape != (k,) or not np.all(np.isfinite(gam)) or np.any(gam <= 0.0):
-        raise ValueError("gamma must be K positive values")
+    noise = _positive_per_user(noise_power, k, "noise_power")
+    gam = _positive_per_user(gamma, k, "gamma")
     return _dual_program(arr, gam, noise)
 
 
@@ -569,9 +563,7 @@ def build_mu_max_pair(channels: np.ndarray, gamma, user: int):
     """
     arr = _validated_channels(channels)
     k = arr.shape[0]
-    gam = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if gam.shape != (k,) or not np.all(np.isfinite(gam)) or np.any(gam <= 0.0):
-        raise ValueError("gamma must be K positive values")
+    gam = _positive_per_user(gamma, k, "gamma")
     if not 0 <= user < k:
         raise ValueError("user index out of range")
     weights = np.zeros(k)

@@ -121,7 +121,12 @@ class CertificateStudyReport:
 
 
 def _rank_trial(cfg: StudyConfig, rate_idx: int, trial: int):
-    """Classify one sampled instance; returns plain counters for merging."""
+    """Solve and classify one sampled instance.
+
+    Returns (scenario, outcome, solution_or_None, flags) where flags is
+    (feasible, rank_one, thm1, song, failed), the order of RankStudyRow's
+    counters.
+    """
     rate = cfg.rates[rate_idx]
     scenario = sample_scenario(
         (cfg.seed, rate_idx, trial),
@@ -145,7 +150,12 @@ def _rank_trial(cfg: StudyConfig, rate_idx: int, trial: int):
         song = bool(np.all(song_margin(scenario, outcome.objective) > 0.0))
     elif outcome.status is not conic.Status.PRIMAL_INFEASIBLE:
         failed = True
-    return scenario, outcome, solution, thm1, feasible, rank_one, song, failed
+    return scenario, outcome, solution, (feasible, rank_one, thm1, song, failed)
+
+
+def _rank_flags(cfg: StudyConfig, rate_idx: int, trial: int) -> tuple[bool, ...]:
+    """Only the classification flags of one trial, cheap to return from a worker."""
+    return _rank_trial(cfg, rate_idx, trial)[3]
 
 
 def _study_workers() -> int:
@@ -176,9 +186,9 @@ def rank_study(cfg: StudyConfig, observer=None) -> RankStudyReport:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
+            flags = list(
                 pool.map(
-                    _rank_trial,
+                    _rank_flags,
                     (cfg for _ in tasks),
                     (t[0] for t in tasks),
                     (t[1] for t in tasks),
@@ -186,34 +196,21 @@ def rank_study(cfg: StudyConfig, observer=None) -> RankStudyReport:
                 )
             )
     else:
-        results = [_rank_trial(cfg, rate_idx, trial) for rate_idx, trial in tasks]
-
-    rows = []
-    for rate_idx, rate in enumerate(cfg.rates):
-        feasible = rank_one = thm1 = song = failures = 0
-        for (r_idx, trial), out in zip(tasks, results):
-            if r_idx != rate_idx:
-                continue
-            scenario, outcome, solution, is_thm1, is_feas, is_r1, is_song, is_fail = out
-            feasible += is_feas
-            rank_one += is_r1
-            thm1 += is_thm1
-            song += is_song
-            failures += is_fail
+        flags = []
+        for rate_idx, trial in tasks:
+            scenario, outcome, solution, trial_flags = _rank_trial(cfg, rate_idx, trial)
             if observer is not None:
                 observer(rate_idx, trial, scenario, outcome, solution)
-        rows.append(
-            RankStudyRow(
-                rate=rate,
-                trials=cfg.trials,
-                feasible=feasible,
-                rank_one=rank_one,
-                thm1_holds=thm1,
-                song_holds=song,
-                failures=failures,
-            )
-        )
-    return RankStudyReport(config=cfg, rows=tuple(rows))
+            flags.append(trial_flags)
+
+    counts = np.zeros((len(cfg.rates), 5), dtype=int)
+    for (rate_idx, _), trial_flags in zip(tasks, flags):
+        counts[rate_idx] += trial_flags
+    rows = tuple(
+        RankStudyRow(rate, cfg.trials, *(int(v) for v in row))
+        for rate, row in zip(cfg.rates, counts)
+    )
+    return RankStudyReport(config=cfg, rows=rows)
 
 
 def certificate_study(cfg: StudyConfig, observer=None) -> CertificateStudyReport:

@@ -30,14 +30,14 @@ def single_user_mapping(rate=1.0, radius=0.2):
     }
 
 
-def sampled_mapping(n=4, k=3, rate=1.0, eps2=0.1, seed=0):
+def sampled_mapping(n=4, k=3, rate=1.0, eps2=0.1, seed=0, sigma2=0.1, rho=1.0):
     return {
         "n": n,
         "k": k,
-        "noise_power": [0.1] * k,
+        "noise_power": [sigma2] * k,
         "rate_targets": [rate] * k,
         "uncertainty": {"type": "sphere", "parameters": {"radius": float(np.sqrt(eps2))}},
-        "channels": {"seed": seed, "rho": 1.0},
+        "channels": {"seed": seed, "rho": rho},
     }
 
 
@@ -142,6 +142,17 @@ class TestSolveCommand:
         path = write_scenario(tmp_path, sampled_mapping(rate=6.6582))
         out = tmp_path / "report.json"
         assert cli.main(["solve", "--scenario", path, "--out", str(out)]) == 1
+
+    def test_solver_failure_exits_two_with_stats(self, tmp_path, capsys):
+        mapping = sampled_mapping(rate=2.0, eps2=1000.0, seed=2, sigma2=1e-7, rho=1e4)
+        path = write_scenario(tmp_path, mapping)
+        out = tmp_path / "report.json"
+        rc = cli.main(["solve", "--scenario", path, "--out", str(out)])
+        assert rc == cli.EXIT_SOLVER_FAILURE
+        stats = json.loads(out.read_text())["solver"]
+        assert stats["status"] == "NumericalFailure"
+        assert stats["message"]
+        assert "solve: NumericalFailure" in capsys.readouterr().err
 
     def test_malformed_file_exits_three_without_output(self, tmp_path):
         bad = tmp_path / "broken.json"

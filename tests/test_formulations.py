@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from robust_miso.formulations import (
     gamma_from_rate,
     worst_case_margin,
 )
+from robust_miso.harness import sample_scenario
 from robust_miso.hermitian import eig_hermitian, numerical_rank
 
 
@@ -37,6 +40,18 @@ def solve_robust(scenario):
     program, index = build_robust_sdp(scenario)
     outcome = conic.solve(program)
     return outcome, index
+
+
+def assert_solution_brackets(scenario):
+    """Solve a bracketed-margin (fdd or box) scenario; every user's sampled
+    lower bound must be nonpositive and below the circumscribed-ball bound."""
+    outcome, index = solve_robust(scenario)
+    assert outcome.status is conic.Status.OPTIMAL, outcome.message
+    sol = extract_solution(index, outcome)
+    for i in range(scenario.n_users):
+        lower, upper = worst_case_margin(sol, scenario, i)
+        assert lower <= 1e-6
+        assert lower <= upper + 1e-12
 
 
 def sphere_scenario(rng, n, k, eps, noise=0.1, rate=1.0):
@@ -332,26 +347,22 @@ class TestRobustOtherModels:
         # lower bound is guaranteed nonpositive at the solution.
         rng = np.random.default_rng(9)
         hb = random_channels(rng, 4, 3)
-        sc = ChannelScenario(hb, [0.1] * 3, [1.0] * 3, BoxUncertainty([0.1] * 3))
-        outcome, index = solve_robust(sc)
-        assert outcome.status is conic.Status.OPTIMAL
-        sol = extract_solution(index, outcome)
-        for i in range(3):
-            lower, upper = worst_case_margin(sol, sc, i)
-            assert lower <= 1e-6
-            assert lower <= upper + 1e-12
+        assert_solution_brackets(
+            ChannelScenario(hb, [0.1] * 3, [1.0] * 3, BoxUncertainty([0.1] * 3))
+        )
 
     def test_fdd_solution_brackets(self):
         rng = np.random.default_rng(15)
         hb = random_channels(rng, 4, 3)
-        sc = ChannelScenario(hb, [0.1] * 3, [1.0] * 3, FddUncertainty(0.1))
-        outcome, index = solve_robust(sc)
-        assert outcome.status is conic.Status.OPTIMAL
-        sol = extract_solution(index, outcome)
-        for i in range(3):
-            lower, upper = worst_case_margin(sol, sc, i)
-            assert lower <= 1e-6
-            assert lower <= upper + 1e-12
+        assert_solution_brackets(
+            ChannelScenario(hb, [0.1] * 3, [1.0] * 3, FddUncertainty(0.1))
+        )
+
+    def test_fdd_large_gain_solution_brackets(self):
+        # At channel gain 1e4 Cholesky solves some KKT systems inaccurately;
+        # the QR re-solve of those systems is what lets this reach Optimal.
+        sc = replace(sample_scenario(0, 4, 3, 1e4, 0.1, 0.1, 0.3), uncertainty=FddUncertainty(0.3))
+        assert_solution_brackets(sc)
 
     def test_box_tighter_than_circumscribed_sphere(self):
         # Enclosing ball radius sqrt(N) delta makes a harder problem.

@@ -19,6 +19,8 @@ from robust_miso.conic import (
     solve,
     svec,
 )
+from robust_miso.formulations import build_robust_sdp
+from robust_miso.harness import sample_scenario
 
 
 def rand_pd(order, rng, shift=0.5):
@@ -55,6 +57,15 @@ def feasible_instance(rng, cones=None):
     y0 = rng.standard_normal(m)
     prog = ConicProgram(c=a.T @ y0 + s0, A=a, b=a @ x0, cones=cones)
     return prog, x0, y0
+
+
+def kkt_residual(prog, out):
+    """Largest of the relative primal, dual and gap residuals at out."""
+    a, b, c = prog.A, prog.b, prog.c
+    pres = np.linalg.norm(a @ out.x - b) / (1 + np.linalg.norm(b))
+    dres = np.linalg.norm(a.T @ out.y + out.s - c) / (1 + np.linalg.norm(c))
+    gap = abs(c @ out.x - b @ out.y) / (1 + abs(c @ out.x))
+    return max(pres, dres, gap)
 
 
 def test_svec_smat_round_trip():
@@ -215,16 +226,27 @@ def test_random_feasible_mixed(seed):
     prog, x0, y0 = feasible_instance(rng)
     out = solve(prog)
     assert out.status is Status.OPTIMAL, out.message
-    a, b, c = prog.A, prog.b, prog.c
-    pres = np.linalg.norm(a @ out.x - b) / (1 + np.linalg.norm(b))
-    dres = np.linalg.norm(a.T @ out.y + out.s - c) / (1 + np.linalg.norm(c))
-    gap = abs(c @ out.x - b @ out.y) / (1 + abs(c @ out.x))
-    assert max(pres, dres, gap) <= 1e-8
+    assert kkt_residual(prog, out) <= 1e-8
+    b, c = prog.b, prog.c
     assert cone_min_eig(out.x, prog.cones) >= -1e-9
     assert cone_min_eig(out.s, prog.cones) >= -1e-9
     # x0 is primal feasible and y0 dual feasible, so they bracket the optimum.
     assert out.objective <= c @ x0 + 1e-6 * (1 + abs(c @ x0))
     assert out.dual_objective >= b @ y0 - 1e-6 * (1 + abs(b @ y0))
+
+
+@pytest.mark.parametrize("cones, factor", [([NonNeg(8)], 1.0), ([Psd(4)], -2.5)])
+def test_redundant_equality_row_solves(cones, factor):
+    """A repeated (or scaled) equality row makes the Schur complement
+    singular; the diagonal jitter lets Cholesky factor it anyway."""
+    prog, _, _ = feasible_instance(np.random.default_rng(0), cones=cones)
+    a = np.vstack([prog.A, factor * prog.A[:1]])
+    b = np.append(prog.b, factor * prog.b[0])
+    redundant = ConicProgram(c=prog.c, A=a, b=b, cones=cones)
+    out = solve(redundant)
+    assert out.status is Status.OPTIMAL, out.message
+    assert kkt_residual(redundant, out) <= 1e-8
+    assert out.objective == pytest.approx(solve(prog).objective, rel=1e-6, abs=1e-6)
 
 
 def test_weak_duality_holds_at_solution():
@@ -310,6 +332,16 @@ def test_settings_tolerances_respected():
     assert loose.iterations <= tight.iterations
 
 
+def test_breakdown_returns_failure_with_best_iterate():
+    """A robust design at tiny noise and large channel gain breaks the
+    iteration down numerically; the solve must report that, not raise."""
+    scenario = sample_scenario(2, 4, 3, 1e4, 1e-7, 1000.0, 2.0)
+    out = solve(build_robust_sdp(scenario)[0])
+    assert out.status is Status.NUMERICAL_FAILURE
+    assert out.message
+    assert np.isfinite(out.primal_res)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_solver_never_reports_unverified_optimal(seed):
@@ -318,11 +350,7 @@ def test_solver_never_reports_unverified_optimal(seed):
     prog, _, _ = feasible_instance(rng, cones=[Psd(3), NonNeg(2)])
     out = solve(prog)
     if out.status is Status.OPTIMAL:
-        a, b, c = prog.A, prog.b, prog.c
-        pres = np.linalg.norm(a @ out.x - b) / (1 + np.linalg.norm(b))
-        dres = np.linalg.norm(a.T @ out.y + out.s - c) / (1 + np.linalg.norm(c))
-        gap = abs(c @ out.x - b @ out.y) / (1 + abs(c @ out.x))
-        assert max(pres, dres, gap) <= 1.1e-8
+        assert kkt_residual(prog, out) <= 1.1e-8
     elif out.status is Status.PRIMAL_INFEASIBLE:
         assert out.cert_res <= 1e-7
     elif out.status is Status.DUAL_INFEASIBLE:
