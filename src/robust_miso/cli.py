@@ -82,7 +82,10 @@ class ScenarioError(ValueError):
 
 
 def _real_array(node, name: str) -> np.ndarray:
-    arr = np.asarray(node, dtype=float)
+    try:
+        arr = np.asarray(node, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{name} must be a number or an array of numbers") from exc
     if not np.all(np.isfinite(arr)):
         raise ScenarioError(f"{name} must contain finite numbers")
     return arr
@@ -123,7 +126,10 @@ def _uncertainty_from_node(node, n: int, k: int):
     if kind == "fdd":
         if "direction_error" not in params:
             raise ScenarioError("fdd uncertainty needs direction_error")
-        return FddUncertainty(float(params["direction_error"]))
+        delta = _real_array(params["direction_error"], "direction_error")
+        if delta.ndim != 0:
+            raise ScenarioError("direction_error must be a single number")
+        return FddUncertainty(float(delta))
     if kind == "box":
         if "halfwidth" not in params:
             raise ScenarioError("box uncertainty needs a halfwidth")
@@ -144,8 +150,11 @@ def scenario_from_mapping(data) -> ChannelScenario:
         raise ScenarioError("n and k must be integers") from exc
     chan = data["channels"]
     if isinstance(chan, dict) and "seed" in chan:
-        rho = float(chan.get("rho", 1.0))
-        presumed = sample_scenario(int(chan["seed"]), n, k, rho, 1.0, 1.0, 1.0).presumed
+        try:
+            rho = float(chan.get("rho", 1.0))
+            presumed = sample_scenario(int(chan["seed"]), n, k, rho, 1.0, 1.0, 1.0).presumed
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"channels seed and rho: {exc}") from exc
     else:
         presumed = _complex_matrix(chan, "channels")
     if presumed.shape != (n, k):
@@ -293,9 +302,7 @@ def cmd_mmf(args) -> int:
     if args.power < 0.0:
         raise ScenarioError("--power must be nonnegative")
     try:
-        result = mmf_rate(
-            scenario, args.power, tol_bits=args.tol, settings=_settings_from_tol(None)
-        )
+        result = mmf_rate(scenario, args.power, tol_bits=args.tol)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     emit_json(dataclasses.asdict(result), args.out)

@@ -10,11 +10,13 @@ targets, and a channel error model) into standard-form conic programs:
   * the pair of programs that bound a single dual multiplier from above.
 
 Complex Hermitian unknowns enter the real solver through their 2n x 2n
-symmetric embedding. Each robust rate constraint becomes a linear matrix
-inequality in an order-(N+1) Hermitian slack; the builder emits one real
-equality per independent real component of the slack definition, (N+1)^2
-per user. Index maps recover covariances, slacks, and multipliers from raw
-solver vectors.
+symmetric embedding, which only _herm_coeff (solver rows of tr(F X)) and
+_herm_blocks (Hermitian matrices back from solver blocks) encode. Each
+robust rate constraint becomes a linear matrix inequality in an order-(N+1)
+Hermitian slack; the builder emits one real equality per independent real
+component of the slack definition, (N+1)^2 per user. Index maps keep one
+slice per variable family and recover covariances, slacks, and multipliers
+from raw solver vectors.
 """
 
 from __future__ import annotations
@@ -86,11 +88,10 @@ class EllipsoidUncertainty:
         arr = np.asarray(self.shape, dtype=complex)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError("ellipsoid shape must be stacked (K, N, N)")
-        for mat in arr:
-            if not is_hermitian(mat):
-                raise ValueError("ellipsoid shape matrices must be Hermitian")
-            if np.linalg.eigvalsh(hermitian_part(mat))[0] <= ELLIPSOID_MIN_EIG:
-                raise ValueError("ellipsoid shape matrices must be positive definite")
+        if not all(is_hermitian(mat) for mat in arr):
+            raise ValueError("ellipsoid shape matrices must be Hermitian")
+        if np.any(np.linalg.eigvalsh(hermitian_part(arr))[:, 0] <= ELLIPSOID_MIN_EIG):
+            raise ValueError("ellipsoid shape matrices must be positive definite")
         object.__setattr__(self, "shape", arr)
 
 
@@ -268,31 +269,40 @@ def _hermitian_basis(order: int) -> np.ndarray:
     for k <= l and tr(F X) = Im X[k, l] for k < l. Cached per order; do not
     mutate the returned array.
     """
-    mats = []
-    for k in range(order):
-        for l in range(k, order):
-            f = np.zeros((order, order), dtype=complex)
-            if k == l:
-                f[k, k] = 1.0
-            else:
-                f[k, l] = 0.5
-                f[l, k] = 0.5
-            mats.append(f)
-    for k in range(order):
-        for l in range(k + 1, order):
-            f = np.zeros((order, order), dtype=complex)
-            f[k, l] = 0.5j
-            f[l, k] = -0.5j
-            mats.append(f)
-    return np.stack(mats)
+    iu, ju = np.triu_indices(order)
+    rows = np.concatenate([iu, iu[iu != ju]])
+    cols = np.concatenate([ju, ju[iu != ju]])
+    idx = np.arange(rows.size)
+    # F = v E_kl + conj(v) E_lk, with v = 0.5 (so 1 on the diagonal) or 0.5j.
+    v = np.where(idx < iu.size, 0.5, 0.5j)
+    mats = np.zeros((rows.size, order, order), dtype=complex)
+    mats[idx, rows, cols] += v
+    mats[idx, cols, rows] += v.conj()
+    return mats
 
 
-def _embed_stack(mats: np.ndarray) -> np.ndarray:
-    """real_embedding applied along the leading axis."""
-    re, im = mats.real, mats.imag
-    top = np.concatenate([re, -im], axis=-1)
-    bot = np.concatenate([im, re], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
+def _herm_coeff(f: np.ndarray) -> np.ndarray:
+    """Rows r with r @ x = tr(F X) for x the solver block of X; F may be stacked."""
+    return 0.5 * svec(real_embedding(f))
+
+
+def _herm_blocks(x: np.ndarray, region: slice, order: int) -> np.ndarray:
+    """Stacked order x order Hermitian matrices held in a run of equal solver blocks."""
+    blocks = x[region].reshape(-1, Psd(2 * order).dim)
+    return hermitian_from_real_embedding(smat(blocks, 2 * order))
+
+
+@lru_cache(maxsize=None)
+def _basis_rows(order: int) -> np.ndarray:
+    """_herm_coeff of the order's Hermitian basis. Cached; do not mutate."""
+    return _herm_coeff(_hermitian_basis(order))
+
+
+def _coupling(gamma: np.ndarray) -> np.ndarray:
+    """C[i, j] = 1/gamma_i if i == j else -1, so Q_i = sum_j C[i, j] W_j."""
+    coupling = -np.ones((gamma.size, gamma.size))
+    np.fill_diagonal(coupling, 1.0 / gamma)
+    return coupling
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -302,28 +312,23 @@ def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vec * root) @ vec.conj().T
 
 
-def _hermitian_blocks(x: np.ndarray, slices: tuple[slice, ...], order: int) -> np.ndarray:
-    """Stacked order x order Hermitian matrices from real-embedded svec blocks."""
-    return np.stack([hermitian_from_real_embedding(smat(x[sl], 2 * order)) for sl in slices])
-
-
 @dataclass(frozen=True)
 class RobustIndexMap:
     """Block locations of the robust design program in the solver vector."""
 
     scenario: ChannelScenario
-    w_slices: tuple[slice, ...]
-    z_slices: tuple[slice, ...]
-    t_slices: tuple[slice, ...]
+    w_region: slice
+    z_region: slice
+    t_region: slice
 
     def covariances(self, x: np.ndarray) -> np.ndarray:
-        return _hermitian_blocks(x, self.w_slices, self.scenario.n_antennas)
+        return _herm_blocks(x, self.w_region, self.scenario.n_antennas)
 
     def slack_matrices(self, x: np.ndarray) -> np.ndarray:
-        return _hermitian_blocks(x, self.z_slices, self.scenario.n_antennas + 1)
+        return _herm_blocks(x, self.z_region, self.scenario.n_antennas + 1)
 
     def multipliers(self, x: np.ndarray) -> np.ndarray:
-        return np.stack([x[sl] for sl in self.t_slices])
+        return x[self.t_region].reshape(self.scenario.n_users, -1).copy()
 
 
 @dataclass(frozen=True)
@@ -331,15 +336,10 @@ class FixedIndexMap:
     """Block locations of the fixed-channel primal in the solver vector."""
 
     n: int
-    k: int
-    w_slices: tuple[slice, ...]
-    slack_slice: slice
+    w_region: slice
 
     def covariances(self, x: np.ndarray) -> np.ndarray:
-        return _hermitian_blocks(x, self.w_slices, self.n)
-
-    def rate_slacks(self, x: np.ndarray) -> np.ndarray:
-        return x[self.slack_slice].copy()
+        return _herm_blocks(x, self.w_region, self.n)
 
     def rate_duals(self, outcome: SolveOutcome) -> np.ndarray:
         """Multipliers of the rate constraints, one per user."""
@@ -351,15 +351,14 @@ class DualIndexMap:
     """Block locations of the fixed-channel dual in the solver vector."""
 
     n: int
-    k: int
-    s_slices: tuple[slice, ...]
-    mu_slice: slice
+    s_region: slice
+    mu_region: slice
 
     def multipliers(self, x: np.ndarray) -> np.ndarray:
-        return x[self.mu_slice].copy()
+        return x[self.mu_region].copy()
 
     def slack_matrices(self, x: np.ndarray) -> np.ndarray:
-        return _hermitian_blocks(x, self.s_slices, self.n)
+        return _herm_blocks(x, self.s_region, self.n)
 
 
 def build_robust_sdp(scenario: ChannelScenario) -> tuple[ConicProgram, RobustIndexMap]:
@@ -378,30 +377,21 @@ def build_robust_sdp(scenario: ChannelScenario) -> tuple[ConicProgram, RobustInd
     equivalent to the worst-case rate constraint of user i.
     """
     n, k = scenario.n_antennas, scenario.n_users
-    gam = scenario.gamma
     model = scenario.uncertainty
     n1 = n + 1
     dw = Psd(2 * n).dim
     dz = Psd(2 * n1).dim
     t_len = {"sphere": 1, "ellipsoid": 1, "box": n, "fdd": 3}[model.kind]
-
-    z_off = k * dw
-    t_off = z_off + k * dz
-    nvar = t_off + k * t_len
-    w_slices = tuple(slice(i * dw, (i + 1) * dw) for i in range(k))
-    z_slices = tuple(slice(z_off + i * dz, z_off + (i + 1) * dz) for i in range(k))
-    t_slices = tuple(slice(t_off + i * t_len, t_off + (i + 1) * t_len) for i in range(k))
+    w_region = slice(0, k * dw)
+    z_region = slice(k * dw, k * (dw + dz))
+    t_region = slice(z_region.stop, z_region.stop + k * t_len)
 
     basis = _hermitian_basis(n1)
     rows_per_user = n1 * n1
-    a = np.zeros((k * rows_per_user, nvar))
-    b = np.zeros(k * rows_per_user)
-    c = np.zeros(nvar)
-    half_eye = 0.5 * svec(np.eye(2 * n))
-    for sl in w_slices:
-        c[sl] = half_eye
-
-    z_coeff = 0.5 * svec(_embed_stack(basis))
+    a = np.zeros((k * rows_per_user, t_region.stop))
+    c = np.zeros(t_region.stop)
+    c[w_region] = np.tile(_herm_coeff(np.eye(n)), k)
+    coupling = _coupling(scenario.gamma)
     tr_top = np.einsum("bjj->b", basis[:, :n, :n]).real
     corner = basis[:, n, n].real
 
@@ -409,37 +399,33 @@ def build_robust_sdp(scenario: ChannelScenario) -> tuple[ConicProgram, RobustInd
         hb = scenario.presumed[:, i]
         border = np.concatenate([np.eye(n, dtype=complex), hb[:, None]], axis=1)
         mid = np.matmul(np.matmul(border, basis), border.conj().T)
-        w_coeff = 0.5 * svec(_embed_stack(mid))
+        w_coeff = _herm_coeff(mid)
         rows = slice(i * rows_per_user, (i + 1) * rows_per_user)
-        a[rows, z_slices[i]] = z_coeff
         for j in range(k):
-            coef = 1.0 / gam[i] if j == i else -1.0
-            a[rows, w_slices[j]] = -coef * w_coeff
+            a[rows, j * dw : (j + 1) * dw] = -coupling[i, j] * w_coeff
+        a[rows, z_region.start + i * dz : z_region.start + (i + 1) * dz] = _basis_rows(n1)
+        t_cols = slice(t_region.start + i * t_len, t_region.start + (i + 1) * t_len)
         if model.kind == "sphere":
             eps2 = model.radius[i] ** 2
-            a[rows, t_slices[i]] = -(tr_top - eps2 * corner)[:, None]
+            a[rows, t_cols] = -(tr_top - eps2 * corner)[:, None]
         elif model.kind == "ellipsoid":
             shape_inv = hermitian_part(np.linalg.inv(model.shape[i]))
             tr_shape = np.einsum("bjl,lj->b", basis[:, :n, :n], shape_inv).real
-            a[rows, t_slices[i]] = -(tr_shape - corner)[:, None]
+            a[rows, t_cols] = -(tr_shape - corner)[:, None]
         elif model.kind == "box":
             d2 = model.halfwidth[i] ** 2
             diag_f = np.einsum("bjj->bj", basis[:, :n, :n]).real
-            a[rows, t_slices[i]] = -(diag_f - d2 * corner[:, None])
+            a[rows, t_cols] = -(diag_f - d2 * corner[:, None])
         else:
             nrm2 = float(np.vdot(hb, hb).real)
             ball = tr_top - (model.direction_error**2 * nrm2) * corner
             norm_eq = tr_top + 2.0 * np.einsum("j,bj->b", hb.conj(), basis[:, :n, n]).real
-            a[rows, t_slices[i]] = np.stack([-ball, -norm_eq, norm_eq], axis=1)
-        b[rows] = -scenario.noise_power[i] * corner
+            a[rows, t_cols] = np.stack([-ball, -norm_eq, norm_eq], axis=1)
+    b = (-scenario.noise_power[:, None] * corner).ravel()
 
-    cones = (
-        [Psd(2 * n) for _ in range(k)]
-        + [Psd(2 * n1) for _ in range(k)]
-        + [NonNeg(k * t_len)]
-    )
+    cones = [Psd(2 * n)] * k + [Psd(2 * n1)] * k + [NonNeg(k * t_len)]
     prog = ConicProgram(c=c, A=a, b=b, cones=cones)
-    return prog, RobustIndexMap(scenario, w_slices, z_slices, t_slices)
+    return prog, RobustIndexMap(scenario, w_region, z_region, t_region)
 
 
 def _positive_per_user(values, k: int, name: str) -> np.ndarray:
@@ -453,36 +439,25 @@ def _validated_channels(channels: np.ndarray) -> np.ndarray:
     arr = np.asarray(channels, dtype=complex)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError("channel matrices must be stacked (K, N, N)")
-    for mat in arr:
-        if not is_hermitian(mat):
-            raise ValueError("channel matrices must be Hermitian")
-    return np.stack([hermitian_part(mat) for mat in arr])
+    if not all(is_hermitian(mat) for mat in arr):
+        raise ValueError("channel matrices must be Hermitian")
+    return hermitian_part(arr)
 
 
 def _fixed_program(
     channels: np.ndarray, gamma: np.ndarray, rhs: np.ndarray
 ) -> tuple[ConicProgram, FixedIndexMap]:
     k, n, _ = channels.shape
-    dw = Psd(2 * n).dim
-    nvar = k * dw + k
-    w_slices = tuple(slice(i * dw, (i + 1) * dw) for i in range(k))
-    slack_slice = slice(k * dw, nvar)
+    w_region = slice(0, k * Psd(2 * n).dim)
+    a = np.zeros((k, w_region.stop + k))
+    c = np.zeros(w_region.stop + k)
+    c[w_region] = np.tile(_herm_coeff(np.eye(n)), k)
+    a[:, w_region] = (_coupling(gamma)[:, :, None] * _herm_coeff(channels)[:, None]).reshape(k, -1)
+    a[np.arange(k), w_region.stop + np.arange(k)] = -1.0
 
-    a = np.zeros((k, nvar))
-    c = np.zeros(nvar)
-    half_eye = 0.5 * svec(np.eye(2 * n))
-    for sl in w_slices:
-        c[sl] = half_eye
-    for i in range(k):
-        functional = 0.5 * svec(real_embedding(channels[i]))
-        for j in range(k):
-            coef = 1.0 / gamma[i] if j == i else -1.0
-            a[i, w_slices[j]] = coef * functional
-        a[i, k * dw + i] = -1.0
-
-    cones = [Psd(2 * n) for _ in range(k)] + [NonNeg(k)]
+    cones = [Psd(2 * n)] * k + [NonNeg(k)]
     prog = ConicProgram(c=c, A=a, b=np.asarray(rhs, dtype=float), cones=cones)
-    return prog, FixedIndexMap(n, k, w_slices, slack_slice)
+    return prog, FixedIndexMap(n, w_region)
 
 
 def build_fixed_sdp(
@@ -509,31 +484,21 @@ def _dual_program(
     basis = _hermitian_basis(n)
     rows_per_user = n * n
     ds = Psd(2 * n).dim
-    nvar = k * ds + k
-    s_slices = tuple(slice(j * ds, (j + 1) * ds) for j in range(k))
-    mu_slice = slice(k * ds, nvar)
+    s_region = slice(0, k * ds)
+    mu_region = slice(k * ds, k * ds + k)
 
-    s_coeff = 0.5 * svec(_embed_stack(basis))
-    tr_h = np.stack(
-        [np.einsum("bjl,lj->b", basis, channels[i]).real for i in range(k)], axis=1
-    )
-    a = np.zeros((k * rows_per_user, nvar))
-    b = np.zeros(k * rows_per_user)
-    c = np.zeros(nvar)
-    c[mu_slice] = -np.asarray(weights, dtype=float)
-    eye_rhs = np.einsum("bjj->b", basis).real
-
+    tr_h = np.einsum("bjl,ilj->bi", basis, channels).real
+    a = np.zeros((k * rows_per_user, mu_region.stop))
+    c = np.zeros(mu_region.stop)
+    c[mu_region] = -np.asarray(weights, dtype=float)
     for j in range(k):
-        rows = slice(j * rows_per_user, (j + 1) * rows_per_user)
-        a[rows, s_slices[j]] = s_coeff
-        coef = np.ones(k)
-        coef[j] = -1.0 / gamma[j]
-        a[rows, mu_slice] = -tr_h * coef[None, :]
-        b[rows] = eye_rhs
+        a[j * rows_per_user : (j + 1) * rows_per_user, j * ds : (j + 1) * ds] = _basis_rows(n)
+    a[:, mu_region] = (tr_h[None] * _coupling(gamma)[:, None, :]).reshape(-1, k)
+    b = np.tile(np.einsum("bjj->b", basis).real, k)
 
-    cones = [Psd(2 * n) for _ in range(k)] + [NonNeg(k)]
+    cones = [Psd(2 * n)] * k + [NonNeg(k)]
     prog = ConicProgram(c=c, A=a, b=b, cones=cones)
-    return prog, DualIndexMap(n, k, s_slices, mu_slice)
+    return prog, DualIndexMap(n, s_region, mu_region)
 
 
 def build_fixed_dual(
@@ -681,17 +646,12 @@ def extract_solution(maps, outcome: SolveOutcome) -> DesignSolution:
     """
     if outcome.status is not Status.OPTIMAL:
         raise ValueError(f"cannot extract a design from status {outcome.status.value}")
-    if isinstance(maps, RobustIndexMap):
-        w = maps.covariances(outcome.x)
-        objective = float(np.trace(w, axis1=1, axis2=2).real.sum())
-        return DesignSolution(
-            W=w,
-            objective=objective,
-            Z=maps.slack_matrices(outcome.x),
-            t=maps.multipliers(outcome.x),
-        )
+    if not isinstance(maps, (RobustIndexMap, FixedIndexMap)):
+        raise TypeError(f"unsupported index map {type(maps).__name__}")
+    w = maps.covariances(outcome.x)
+    objective = float(np.trace(w, axis1=1, axis2=2).real.sum())
     if isinstance(maps, FixedIndexMap):
-        w = maps.covariances(outcome.x)
-        objective = float(np.trace(w, axis1=1, axis2=2).real.sum())
         return DesignSolution(W=w, objective=objective, mu=maps.rate_duals(outcome))
-    raise TypeError(f"unsupported index map {type(maps).__name__}")
+    return DesignSolution(
+        W=w, objective=objective, Z=maps.slack_matrices(outcome.x), t=maps.multipliers(outcome.x)
+    )

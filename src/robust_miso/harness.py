@@ -47,6 +47,8 @@ def sample_scenario(seed, n, k, rho, sigma2, eps2, r) -> ChannelScenario:
     numpy.random.SeedSequence accepts (an int or a tuple of ints), and equal
     seeds give bit-identical scenarios.
     """
+    if not rho > 0.0:
+        raise ValueError("rho must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     g = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     presumed = g * np.sqrt(rho / 2.0)
@@ -383,9 +385,7 @@ def _golden_maximize(fun, iters: int = 12) -> tuple[float, float]:
     return (x1, f1) if f1 >= f2 else (x2, f2)
 
 
-def _blend_member(
-    scenario: ChannelScenario, a: LiftedChannel, b: LiftedChannel, theta: float
-) -> LiftedChannel:
+def _blend_member(a: LiftedChannel, b: LiftedChannel, theta: float) -> LiftedChannel:
     """Convex combination inside the lifted set (the set is convex in
     (h, residual) jointly)."""
     return LiftedChannel(
@@ -466,9 +466,7 @@ def duality_audit(
 
                 def power_at(theta: float) -> float:
                     cand = list(incumbent)
-                    cand[user] = _blend_member(
-                        scenario, incumbent[user], target, theta
-                    )
+                    cand[user] = _blend_member(incumbent[user], target, theta)
                     power = _member_power(scenario, cand, settings)
                     account(cand, power)
                     return -math.inf if math.isnan(power) else power

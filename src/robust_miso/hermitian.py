@@ -38,9 +38,9 @@ def is_hermitian(x: np.ndarray, atol: float = HERM_ATOL) -> bool:
 
 
 def hermitian_part(x: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian subspace, (x + x^H)/2."""
+    """Project onto the Hermitian subspace, (x + x^H)/2; supports stacked (..., n, n)."""
     x = np.asarray(x)
-    return 0.5 * (x + x.conj().T)
+    return 0.5 * (x + np.swapaxes(x.conj(), -1, -2))
 
 
 def eig_hermitian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -55,7 +55,7 @@ def eig_hermitian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def real_embedding(x: np.ndarray) -> np.ndarray:
-    """Real symmetric 2n x 2n embedding [[Re x, -Im x], [Im x, Re x]].
+    """Real symmetric 2n x 2n embedding [[Re x, -Im x], [Im x, Re x]] of each (..., n, n) x.
 
     The map is an algebra homomorphism on Hermitian matrices: it preserves
     positive semidefiniteness in both directions and doubles both trace and
@@ -64,25 +64,24 @@ def real_embedding(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=complex)
     re, im = x.real, x.imag
-    return np.block([[re, -im], [im, re]])
+    return np.concatenate([np.concatenate([re, -im], -1), np.concatenate([im, re], -1)], -2)
 
 
 def hermitian_from_real_embedding(y: np.ndarray) -> np.ndarray:
-    """Recover a Hermitian matrix from a real symmetric 2n x 2n block matrix.
+    """Recover Hermitian matrices from real symmetric (..., 2n, 2n) block matrices.
 
     Averages over the embedding symmetry, so it is exact on embedded inputs
     and acts as the canonical projection otherwise: any skew component a PSD
     solver may have added is trace-orthogonal to embedded data and drops out.
     """
     y = np.asarray(y, dtype=float)
-    n2 = y.shape[0]
+    n2 = y.shape[-1]
     if n2 % 2:
         raise ValueError("real embedding must have even order")
     n = n2 // 2
-    re = 0.5 * (y[:n, :n] + y[n:, n:])
-    im = 0.5 * (y[n:, :n] - y[:n, n:])
-    h = re + 1j * im
-    return hermitian_part(h)
+    re = 0.5 * (y[..., :n, :n] + y[..., n:, n:])
+    im = 0.5 * (y[..., n:, :n] - y[..., :n, n:])
+    return hermitian_part(re + 1j * im)
 
 
 def orth_complement_projector(cols: np.ndarray) -> np.ndarray:

@@ -103,7 +103,7 @@ class TestScenarioParsing:
         with pytest.raises(cli.ScenarioError, match="missing"):
             cli.scenario_from_mapping(mapping)
 
-    def test_bad_inputs_rejected(self):
+    def test_bad_inputs_rejected(self, tmp_path, capsys):
         mapping = single_user_mapping()
         mapping["channels"] = {"re": [[1.0]], "im": [[0.0]]}
         with pytest.raises(cli.ScenarioError, match="channels"):
@@ -116,6 +116,23 @@ class TestScenarioParsing:
         mapping["noise_power"] = [-0.1]
         with pytest.raises(cli.ScenarioError):
             cli.scenario_from_mapping(mapping)
+        # Values of the wrong type or range are bad input (exit 3), not a
+        # TypeError, a bare ValueError or NaN channels.
+        malformed = []
+        mapping = single_user_mapping()
+        mapping["uncertainty"] = {"type": "fdd", "parameters": {"direction_error": [0.1]}}
+        malformed.append((mapping, "direction_error"))
+        mapping = single_user_mapping()
+        mapping["noise_power"] = {"a": 1}
+        malformed.append((mapping, "noise_power"))
+        malformed.append((sampled_mapping(n=3, k=1) | {"channels": {"seed": "abc"}}, "seed"))
+        malformed.append((sampled_mapping(n=3, k=1) | {"channels": {"seed": 1, "rho": -1}}, "rho"))
+        for mapping, match in malformed:
+            with pytest.raises(cli.ScenarioError, match=match):
+                cli.scenario_from_mapping(mapping)
+        path = write_scenario(tmp_path, malformed[0][0])
+        assert cli.main(["certify", "--scenario", path]) == 3
+        assert "direction_error" in capsys.readouterr().err
 
 
 class TestSolveCommand:

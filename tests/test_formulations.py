@@ -23,7 +23,7 @@ from robust_miso.formulations import (
     worst_case_margin,
 )
 from robust_miso.harness import sample_scenario
-from robust_miso.hermitian import eig_hermitian, numerical_rank
+from robust_miso.hermitian import eig_hermitian, numerical_rank, real_embedding
 
 
 def random_channels(rng, n, k, rho=1.0):
@@ -52,6 +52,23 @@ def assert_solution_brackets(scenario):
         lower, upper = worst_case_margin(sol, scenario, i)
         assert lower <= 1e-6
         assert lower <= upper + 1e-12
+
+
+def random_hermitian(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (g + g.conj().T)
+
+
+def embedded(mats):
+    """Solver coordinates of stacked Hermitian blocks, through the public embedding."""
+    return np.concatenate([conic.svec(real_embedding(m)) for m in mats])
+
+
+def hermitian_coords(r):
+    """Re r[k, l] for k <= l, then Im r[k, l] for k < l, both row-major."""
+    iu, ju = np.triu_indices(r.shape[0])
+    off = iu != ju
+    return np.concatenate([r[iu, ju].real, r[iu[off], ju[off]].imag])
 
 
 def sphere_scenario(rng, n, k, eps, noise=0.1, rate=1.0):
@@ -169,6 +186,95 @@ class TestRobustStructure:
             program, _ = build_robust_sdp(sc)
             lens = [c.length for c in program.cones if isinstance(c, conic.NonNeg)]
             assert lens == [expect]
+
+
+class TestBuilderSemantics:
+    """A @ x - b holds the coordinates of each defining constraint's residual."""
+
+    @pytest.mark.parametrize("kind", ["sphere", "ellipsoid", "fdd", "box"])
+    def test_robust_rows(self, kind):
+        rng = np.random.default_rng(83)
+        n, k = 3, 3
+        hb = random_channels(rng, n, k)
+        radius = rng.uniform(0.1, 0.3, k)
+        shapes = np.stack([np.eye(n) + 0.1 * random_hermitian(rng, n) for _ in range(k)])
+        model, t_len = {
+            "sphere": (SphereUncertainty(radius), 1),
+            "ellipsoid": (EllipsoidUncertainty(shapes), 1),
+            "fdd": (FddUncertainty(0.2), 3),
+            "box": (BoxUncertainty(radius), n),
+        }[kind]
+        noise = rng.uniform(0.05, 0.2, k)
+        sc = ChannelScenario(hb, noise, rng.uniform(0.3, 1.0, k), model)
+        program, index = build_robust_sdp(sc)
+        w = np.stack([random_hermitian(rng, n) for _ in range(k)])
+        z = np.stack([random_hermitian(rng, n + 1) for _ in range(k)])
+        t = rng.random((k, t_len))
+        x = np.concatenate([embedded(w), embedded(z), t.ravel()])
+        resid = program.A @ x - program.b
+        rows = (n + 1) ** 2
+        for i in range(k):
+            q = w[i] / sc.gamma[i] - (w.sum(axis=0) - w[i])
+            border = np.concatenate([np.eye(n), hb[:, i : i + 1]], axis=1)
+            lmi = border.conj().T @ q @ border
+            lmi[n, n] -= noise[i]
+            mult = np.zeros((n + 1, n + 1), dtype=complex)
+            if kind == "sphere":
+                mult[:n, :n] = t[i, 0] * np.eye(n)
+                mult[n, n] = -t[i, 0] * radius[i] ** 2
+            elif kind == "ellipsoid":
+                mult[:n, :n] = t[i, 0] * np.linalg.inv(shapes[i])
+                mult[n, n] = -t[i, 0]
+            elif kind == "box":
+                mult[:n, :n] = np.diag(t[i])
+                mult[n, n] = -radius[i] ** 2 * t[i].sum()
+            else:
+                lam, nu = t[i, 0], t[i, 1] - t[i, 2]
+                mult[:n, :n] = (lam + nu) * np.eye(n)
+                mult[:n, n] = nu * hb[:, i]
+                mult[n, :n] = nu * hb[:, i].conj()
+                mult[n, n] = -lam * 0.2**2 * np.vdot(hb[:, i], hb[:, i]).real
+            expect = hermitian_coords(z[i] - lmi - mult)
+            np.testing.assert_allclose(resid[i * rows : (i + 1) * rows], expect, atol=1e-12)
+        assert program.c @ x == pytest.approx(np.trace(w, axis1=1, axis2=2).real.sum(), abs=1e-12)
+        np.testing.assert_allclose(index.covariances(x), w, atol=1e-14)
+        np.testing.assert_allclose(index.slack_matrices(x), z, atol=1e-14)
+        np.testing.assert_array_equal(index.multipliers(x), t)
+
+    def test_fixed_rows(self):
+        rng = np.random.default_rng(89)
+        n, k = 3, 3
+        chans = np.stack([random_hermitian(rng, n) for _ in range(k)])
+        noise, gam = rng.uniform(0.05, 0.2, k), rng.uniform(0.3, 2.0, k)
+        program, index = build_fixed_sdp(chans, noise, gam)
+        w = np.stack([random_hermitian(rng, n) for _ in range(k)])
+        slack = rng.random(k)
+        x = np.concatenate([embedded(w), slack])
+        for i in range(k):
+            q = w[i] / gam[i] - (w.sum(axis=0) - w[i])
+            expect = np.trace(chans[i] @ q).real - slack[i] - noise[i]
+            assert (program.A @ x - program.b)[i] == pytest.approx(expect, abs=1e-12)
+        assert program.c @ x == pytest.approx(np.trace(w, axis1=1, axis2=2).real.sum(), abs=1e-12)
+        np.testing.assert_allclose(index.covariances(x), w, atol=1e-14)
+
+    def test_dual_rows(self):
+        rng = np.random.default_rng(97)
+        n, k = 3, 3
+        chans = np.stack([random_hermitian(rng, n) for _ in range(k)])
+        noise, gam = rng.uniform(0.05, 0.2, k), rng.uniform(0.3, 2.0, k)
+        program, index = build_fixed_dual(chans, noise, gam)
+        s = np.stack([random_hermitian(rng, n) for _ in range(k)])
+        mu = rng.random(k)
+        x = np.concatenate([embedded(s), mu])
+        resid = program.A @ x - program.b
+        for j in range(k):
+            others = np.einsum("i,ijl->jl", mu, chans) - mu[j] * chans[j]
+            defined = np.eye(n) + others - (mu[j] / gam[j]) * chans[j]
+            expect = hermitian_coords(s[j] - defined)
+            np.testing.assert_allclose(resid[j * n * n : (j + 1) * n * n], expect, atol=1e-12)
+        assert program.c @ x == pytest.approx(-noise @ mu, abs=1e-12)
+        np.testing.assert_allclose(index.slack_matrices(x), s, atol=1e-14)
+        np.testing.assert_array_equal(index.multipliers(x), mu)
 
 
 class TestRobustSphere:
@@ -602,6 +708,8 @@ class TestExtractSolution:
             expect[4, :4] = rvec.conj()
             expect[4, 4] = corner
             assert np.max(np.abs(sol.Z[i] - expect)) <= 1e-7
+        for block in (sol.W, sol.Z, sol.t):
+            assert not np.shares_memory(block, outcome.x)
 
     def test_psd_within_tolerance(self):
         rng = np.random.default_rng(71)

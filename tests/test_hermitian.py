@@ -139,6 +139,13 @@ class TestRealEmbedding:
         rng = np.random.default_rng(seed)
         x = random_hermitian(rng, 3)
         assert np.max(np.abs(hermitian_from_real_embedding(real_embedding(x)) - x)) <= 1e-14
+        stack = np.stack([x, random_hermitian(rng, 3), random_hermitian(rng, 3)])
+        embedded = real_embedding(stack)
+        np.testing.assert_array_equal(embedded, [real_embedding(m) for m in stack])
+        np.testing.assert_array_equal(
+            hermitian_from_real_embedding(embedded),
+            [hermitian_from_real_embedding(m) for m in embedded],
+        )
 
     def test_inner_product_factor_two(self):
         rng = np.random.default_rng(29)
