@@ -14,9 +14,17 @@ Nesterov-Todd scaling on the homogeneous self-dual embedding
 
 so primal/dual infeasibility certificates fall out of the tau/kappa split
 instead of needing a separate phase. Per iteration the Newton system reduces
-to an m x m Schur complement A H^-1 A^T (H is the NT scaling Hessian, whose
-inverse is available in closed form), factored by Cholesky with iterative
-refinement against the full augmented system.
+to an m x m Schur complement A H^-1 A^T = G G^T with G = A F (H is the NT
+scaling Hessian, whose inverse F F^T is known in closed form), factored by
+Cholesky with iterative refinement against the full augmented system. G and
+the Schur complement are assembled from block row supports, read from A once
+per solve: the support of a cone block is the set of rows of A with a
+nonzero in its columns (the NonNeg columns count as one block). G is formed
+only on those (row, block) pairs. The blocks supported on every row share
+one dense matrix that enters the Schur complement as a single symmetric
+product; every other block adds its own square on its support rows.
+Products with G take the same split, and products with A read only its
+nonzeros.
 
 Failure policy: the iteration has one exit for numerical breakdown. When the
 scaling or the Schur factorization fails, the step length collapses, or the
@@ -254,33 +262,192 @@ class _PsdGroup:
         """(n,) vector -> (q, p, p) stacked symmetric matrices."""
         return smat(v[self.cols].reshape(self.q, self.d), self.p)
 
-    def gather_rows(self, a: np.ndarray) -> np.ndarray:
-        """(m, n) matrix -> (m, q, p, p) stacked row blocks."""
-        m = a.shape[0]
-        return smat(a[:, self.cols].reshape(m, self.q, self.d), self.p)
-
     def scatter(self, out: np.ndarray, mats: np.ndarray) -> None:
         out[self.cols] = svec(mats).reshape(-1)
 
 
+def _index(idx: np.ndarray):
+    """idx flattened, or the equal slice when it is one ascending run."""
+    flat = idx.ravel()
+    if flat.size and flat[-1] - flat[0] + 1 == flat.size and np.all(flat[1:] > flat[:-1]):
+        return slice(int(flat[0]), int(flat[-1]) + 1)
+    return flat
+
+
+class _Part:
+    """Cone blocks of one kind whose row supports in A have the same size.
+
+    group indexes _Workspace.groups, or is None for the NonNeg block; sel
+    picks the blocks within the group, cols (q, d) holds their columns and
+    rows (q, size) their supports. A part stored in the full matrix has rows
+    None and keeps its values at columns `full` of that matrix.
+    """
+
+    def __init__(self, group, sel, cols: np.ndarray, rows: np.ndarray | None):
+        self.group = group
+        self.sel = sel
+        self.cols = cols
+        self.rows = rows
+        self.full: slice | None = None
+        if rows is not None:
+            self.col_index = _index(cols)
+            self.row_index = _index(rows)
+            self.squares = []
+            for r in rows:
+                run = _index(r)
+                self.squares.append((run, run) if isinstance(run, slice) else np.ix_(r, r))
+
+
 class _Workspace:
+    """Cone layout and the (row support, cone block) pattern of A.
+
+    The support of a block is the set of rows of A with a nonzero in the
+    block's columns; the NonNeg columns count as one block. Blocks supported
+    on every row share one full matrix; the others are stored on their
+    support rows only, and blocks with empty support not at all. A block
+    whose support square exceeds half of m x m joins the full matrix too:
+    the full product is symmetric, so there it costs less than the square.
+    """
+
     def __init__(self, prog: ConicProgram):
         self.prog = prog
         off = 0
-        nn_cols = []
-        psd_offsets: dict[int, list[int]] = {}
-        for k in prog.cones:
+        starts, nn_cones, nn_cols = [], [], []
+        psd_cones: dict[int, list[int]] = {}
+        for i, k in enumerate(prog.cones):
+            starts.append(off)
             if isinstance(k, NonNeg):
+                nn_cones.append(i)
                 nn_cols.append(np.arange(off, off + k.length))
             else:
-                psd_offsets.setdefault(k.order, []).append(off)
+                psd_cones.setdefault(k.order, []).append(i)
             off += k.dim
         self.nn = np.concatenate(nn_cols) if nn_cols else np.zeros(0, dtype=int)
-        self.groups = [_PsdGroup(p, offs) for p, offs in sorted(psd_offsets.items())]
+        orders = sorted(psd_cones)
+        self.groups = [_PsdGroup(p, [starts[i] for i in psd_cones[p]]) for p in orders]
         self.nu = sum(k.barrier for k in prog.cones)
         self.e = cone_identity(prog.cones)
-        # Row blocks of A in matrix form, fixed across iterations.
-        self.a_mats = [g.gather_rows(prog.A) for g in self.groups]
+
+        a = prog.A
+        m = a.shape[0]
+        # touched[i, r]: cone i has a nonzero in row r of A.
+        touched = np.logical_or.reduceat(a != 0, starts, axis=1).T
+        sizes = touched.sum(axis=1).tolist()
+        self.parts = []
+        if nn_cones:
+            rows = None
+            if 2 * max(sizes[i] for i in nn_cones) ** 2 <= m * m:
+                rows = np.flatnonzero(touched[nn_cones].any(axis=0))[None]
+                rows = rows if 2 * rows.size**2 <= m * m else None
+            if rows is None or rows.size:
+                self.parts.append(_Part(None, None, self.nn[None], rows))
+        for gi, (p, g) in enumerate(zip(orders, self.groups)):
+            cones = psd_cones[p]
+            for size in sorted({sizes[i] for i in cones} - {0}):
+                sel = [j for j, i in enumerate(cones) if sizes[i] == size]
+                rows = None
+                if 2 * size * size <= m * m:
+                    rows = np.nonzero(touched[[cones[j] for j in sel]])[1].reshape(len(sel), size)
+                cols = g.cols.reshape(g.q, g.d)
+                if len(sel) < g.q:
+                    self.parts.append(_Part(gi, sel, cols[sel], rows))
+                else:
+                    self.parts.append(_Part(gi, slice(None), cols, rows))
+        full = sorted((p for p in self.parts if p.rows is None), key=lambda p: p.cols[0, 0])
+        stop = 0
+        for part in full:
+            part.full = slice(stop, stop + part.cols.size)
+            stop = part.full.stop
+        # Each part's columns ascend and parts are in order of their first
+        # column, so the full columns are one run when every part is one.
+        start = int(full[0].cols[0, 0]) if full else 0
+        if all(p.cols[-1, -1] - p.cols[0, 0] + 1 == p.cols.size for p in full) and (
+            not full or full[-1].cols[-1, -1] + 1 - start == stop
+        ):
+            self.full_cols = slice(start, start + stop)
+        else:
+            self.full_cols = np.concatenate([p.cols.ravel() for p in full])
+        narrow = {
+            p: a[p.rows[:, :, None], p.cols[:, None, :]] for p in self.parts if p.rows is not None
+        }
+        self.a = _Patterned(self.full_cols, a[:, self.full_cols], narrow, prog.n)
+        # Products with A itself read only its nonzeros, which the full
+        # matrix keeps alongside zeros, unless the full matrix is all of A.
+        self.a_dot, self.a_tdot = self.a.dot, self.a.tdot
+        if not self.a.whole:
+            rows, cols = np.nonzero(a)
+            vals = a[rows, cols]
+            n = prog.n
+            self.a_dot = lambda u: np.bincount(rows, vals * u[cols], minlength=m)
+            self.a_tdot = lambda y: np.bincount(cols, vals * y[rows], minlength=n)
+        # A's PSD blocks in matrix form on their support rows, fixed across iterations.
+        self.a_mats = {
+            p: smat(self.a.values(p), self.groups[p.group].p)
+            for p in self.parts
+            if p.group is not None
+        }
+
+
+class _Patterned:
+    """An m x n matrix that is zero outside A's (row support, block) pattern.
+
+    full holds the columns of every full-support block side by side, in the
+    order of ws.full_cols; narrow maps every other part to its (q, size, d)
+    values on its support rows. The values of A and the scaled Gram G = A F
+    are both kept this way, so G is formed and multiplied only on the pairs
+    that A has.
+    """
+
+    def __init__(self, full_cols, full: np.ndarray, narrow: dict, n: int):
+        self.full_cols = full_cols
+        self.n = n
+        self.full = full
+        self.narrow = narrow
+        # Every block is in the full matrix, in x's column order: the
+        # products are plain matrix products.
+        self.whole = isinstance(full_cols, slice) and full.shape[1] == n
+        if self.whole:
+            self.dot = full.__matmul__
+            self.tdot = full.T.__matmul__
+
+    def values(self, part: _Part) -> np.ndarray:
+        """(q, size, d) values of one part; a view for full-support parts."""
+        if part.rows is not None:
+            return self.narrow[part]
+        q, d = part.cols.shape
+        return self.full[:, part.full].reshape(-1, q, d).transpose(1, 0, 2)
+
+    def dot(self, u: np.ndarray) -> np.ndarray:
+        out = self.full @ u[self.full_cols]
+        for part, vals in self.narrow.items():
+            v = np.matmul(vals, u[part.col_index].reshape(part.cols.shape + (1,)))
+            # Supports of blocks in one part may share rows; bincount sums them.
+            out += np.bincount(part.rows.ravel(), v.ravel(), minlength=out.size)
+        return out
+
+    def tdot(self, y: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.n)
+        out[self.full_cols] = self.full.T @ y
+        for part, vals in self.narrow.items():
+            w = np.matmul(y[part.row_index].reshape(part.rows.shape[0], 1, -1), vals)
+            out[part.col_index] = w.ravel()
+        return out
+
+    def gram(self) -> np.ndarray:
+        """This matrix times its transpose: one product over the full-support
+        columns, plus each narrow block's square added on its support rows."""
+        out = self.full @ self.full.T
+        for part, vals in self.narrow.items():
+            for square, blk in zip(part.squares, np.matmul(vals, vals.transpose(0, 2, 1))):
+                out[square] += blk
+        return out
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros((self.full.shape[0], self.n))
+        out[:, self.full_cols] = self.full
+        for part, vals in self.narrow.items():
+            out[part.rows[:, :, None], part.cols[:, None, :]] = vals
+        return out
 
 
 class _Scaling:
@@ -289,7 +456,7 @@ class _Scaling:
     The scaling map F satisfies F^-1 x = F^T s = lambda (the scaled point).
     All KKT arithmetic happens in scaled coordinates: an element of the
     scaled space is stored as a plain n-vector in the same svec layout as x,
-    so the Gram matrix G = A F acts on it by ordinary matrix product.
+    which the Gram matrix G = A F acts on through _Patterned.dot.
     """
 
     def __init__(self, ws: _Workspace, x: np.ndarray, s: np.ndarray):
@@ -350,15 +517,23 @@ class _Scaling:
             g.scatter(out, g.gather(v) / denom)
         return out
 
-    def scaled_gram(self) -> np.ndarray:
-        """G = A F row by row, so G G^T = A H^-1 A^T."""
-        a = self.ws.prog.A
-        g_out = np.empty_like(a)
-        g_out[:, self.ws.nn] = a[:, self.ws.nn] * self.w[None, :]
-        for g, r, am in zip(self.ws.groups, self.R, self.ws.a_mats):
-            tr = np.matmul(r.transpose(0, 2, 1)[None], np.matmul(am, r[None]))
-            g_out[:, g.cols] = svec(tr).reshape(a.shape[0], -1)
-        return g_out
+    def scaled_gram(self) -> _Patterned:
+        """G = A F on A's pattern, so G G^T = A H^-1 A^T."""
+        ws = self.ws
+        g = _Patterned(ws.full_cols, np.empty_like(ws.a.full), {}, ws.prog.n)
+        for part in ws.parts:
+            vals = ws.a.values(part)
+            if part.group is None:
+                prod = vals * self.w[None, None, :]
+            else:
+                r = self.R[part.group][part.sel][:, None]
+                tr = np.matmul(r.transpose(0, 1, 3, 2), np.matmul(ws.a_mats[part], r))
+                prod = svec(tr)
+            if part.rows is None:
+                g.values(part)[...] = prod
+            else:
+                g.narrow[part] = prod
+        return g
 
     def step_limit(self, v: np.ndarray) -> float:
         """Largest alpha keeping lambda + alpha * v (scaled) in the cone."""
@@ -385,7 +560,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
     """Run the interior-point iteration, returning a certified outcome."""
     cfg = settings or SolverSettings()
     ws = _Workspace(prog)
-    a, b, c = prog.A, prog.b, prog.c
+    a_dot, a_tdot, b, c = ws.a_dot, ws.a_tdot, prog.b, prog.c
     m, n = prog.m, prog.n
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.linalg.norm(c)
@@ -403,8 +578,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
         # Optimality on the tau-scaled point.
         xh, yh, sh = x / tau, y / tau, s / tau
         pobj, dobj = float(c @ xh), float(b @ yh)
-        pres = float(np.linalg.norm(a @ xh - b)) / norm_b
-        dres = float(np.linalg.norm(a.T @ yh + sh - c)) / norm_c
+        pres = float(np.linalg.norm(a_dot(xh) - b)) / norm_b
+        dres = float(np.linalg.norm(a_tdot(yh) + sh - c)) / norm_c
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         score = max(pres, dres, gap)
         if best is None or score < best[0]:
@@ -416,10 +591,10 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
         # Infeasibility certificates from the homogeneous part.
         by = float(b @ y)
         if by > 0:
-            res = float(np.linalg.norm(a.T @ y + s)) * max(1.0, np.linalg.norm(b))
+            res = float(np.linalg.norm(a_tdot(y) + s)) * max(1.0, np.linalg.norm(b))
             if res <= cfg.tol_inf * by:
                 yn, sn = y / by, s / by
-                cert = cone_distance(-(a.T @ yn), prog.cones)
+                cert = cone_distance(-a_tdot(yn), prog.cones)
                 return SolveOutcome(
                     Status.PRIMAL_INFEASIBLE, None, yn, sn, np.nan, np.nan, it,
                     np.nan, np.nan, np.nan, cert_res=cert,
@@ -427,10 +602,10 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                 )
         cx = float(c @ x)
         if cx < 0:
-            res = float(np.linalg.norm(a @ x)) * max(1.0, np.linalg.norm(c))
+            res = float(np.linalg.norm(a_dot(x))) * max(1.0, np.linalg.norm(c))
             if res <= cfg.tol_inf * (-cx):
                 xn = x / (-cx)
-                cert = float(np.linalg.norm(a @ xn))
+                cert = float(np.linalg.norm(a_dot(xn)))
                 return SolveOutcome(
                     Status.DUAL_INFEASIBLE, xn, None, None, np.nan, np.nan, it,
                     np.nan, np.nan, np.nan, cert_res=cert,
@@ -455,7 +630,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
         try:
             scal = _Scaling(ws, x, s)
             g_mat = scal.scaled_gram()
-            schur = g_mat @ g_mat.T
+            schur = g_mat.gram()
             jitter = 0.0
             for attempt in range(4):
                 try:
@@ -490,14 +665,14 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
             u0 = h - scal.scale_s(q1)
 
             def run(solver):
-                dy = solver(q2 - g_mat @ u0)
-                xbar = u0 + g_mat.T @ dy
+                dy = solver(q2 - g_mat.dot(u0))
+                xbar = u0 + g_mat.tdot(dy)
                 state = (dy, xbar, np.inf)
                 for _ in range(_KKT_REFINE + 1):
                     dx = scal.fwd_x(xbar)
                     ds = scal.unscale_s(h - xbar)
-                    e1 = q1 - ds - a.T @ dy
-                    e2 = q2 - a @ dx
+                    e1 = q1 - ds - a_tdot(dy)
+                    e2 = q2 - a_dot(dx)
                     res = (np.linalg.norm(e1) + np.linalg.norm(e2)) / scale
                     if res < state[2]:
                         state = (dy, xbar, res)
@@ -505,15 +680,15 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                         break
                     # Correction solves the same system with zero h-part.
                     p = scal.scale_s(e1)
-                    cy = solver(e2 + g_mat @ p)
+                    cy = solver(e2 + g_mat.dot(p))
                     dy = dy + cy
-                    xbar = xbar + (g_mat.T @ cy - p)
+                    xbar = xbar + (g_mat.tdot(cy) - p)
                 return state
 
             state = run(schur_chol)
             if state[2] > 1e-11 and m <= n:
                 if qr_r[0] is None:
-                    r_full = sla.qr(g_mat.T, mode="r", check_finite=False)[0]
+                    r_full = sla.qr(g_mat.dense().T, mode="r", check_finite=False)[0]
                     qr_r[0] = np.ascontiguousarray(r_full[:m, :])
                 try:
                     cand = run(schur_qr)
@@ -527,8 +702,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
             sbar = h - xbar
             return dx, dy, ds, xbar, sbar
 
-        rx = s + a.T @ y - c * tau
-        ry = a @ x - b * tau
+        rx = s + a_tdot(y) - c * tau
+        ry = a_dot(x) - b * tau
         rt = kappa + float(c @ x) - float(b @ y)
 
         zero_h = np.zeros(n)

@@ -82,6 +82,9 @@ class StudyConfig:
             raise ValueError("rates must be nonempty and strictly increasing")
         if min(rates) <= 0.0:
             raise ValueError("rates must be positive")
+        for name in ("noise_power", "eps2", "rho"):
+            if not 0.0 < float(getattr(self, name)) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -249,11 +252,16 @@ def certificate_study(cfg: StudyConfig, observer=None) -> CertificateStudyReport
 
 @dataclass(frozen=True)
 class MmfResult:
-    """Largest common rate certified within the power budget."""
+    """Largest common rate certified within the power budget.
+
+    failed_probes counts bisection solves that ended in NUMERICAL_FAILURE;
+    each was read as "not certified", which can only lower the rate.
+    """
 
     rate: float
     power: float
     feasible: bool
+    failed_probes: int = 0
 
 
 def _deviation_bound(scenario: ChannelScenario) -> np.ndarray:
@@ -290,10 +298,14 @@ def mmf_rate(
     if not np.isfinite(p_total) or p_total <= 0.0:
         return MmfResult(rate=0.0, power=0.0, feasible=False)
 
+    failed = 0
+
     def probe(rate: float) -> tuple[bool, float]:
+        nonlocal failed
         cand = replace(scenario, rate_target=np.full(scenario.n_users, rate))
         program, _ = build_robust_sdp(cand)
         outcome = conic.solve(program, settings=settings)
+        failed += outcome.status is conic.Status.NUMERICAL_FAILURE
         if outcome.status is not conic.Status.OPTIMAL:
             return False, float("nan")
         return outcome.objective <= p_total, outcome.objective
@@ -306,10 +318,10 @@ def mmf_rate(
 
     ok, power = probe(r_hi)
     if ok:
-        return MmfResult(rate=r_hi, power=power, feasible=True)
+        return MmfResult(rate=r_hi, power=power, feasible=True, failed_probes=failed)
     ok, power = probe(tol_bits)
     if not ok:
-        return MmfResult(rate=0.0, power=0.0, feasible=False)
+        return MmfResult(rate=0.0, power=0.0, feasible=False, failed_probes=failed)
     lo, hi = tol_bits, r_hi
     best_power = power
     while hi - lo > tol_bits:
@@ -319,7 +331,7 @@ def mmf_rate(
             lo, best_power = mid, power
         else:
             hi = mid
-    return MmfResult(rate=lo, power=best_power, feasible=True)
+    return MmfResult(rate=lo, power=best_power, feasible=True, failed_probes=failed)
 
 
 @dataclass(frozen=True)

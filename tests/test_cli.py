@@ -254,7 +254,7 @@ class TestMmfCommand:
         path = write_scenario(tmp_path, single_user_mapping())
         assert cli.main(["mmf", "--scenario", path, "--power", "0"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report == {"rate": 0.0, "power": 0.0, "feasible": False}
+        assert report == {"rate": 0.0, "power": 0.0, "feasible": False, "failed_probes": 0}
 
     def test_doubling_power_increases_rate(self, tmp_path, capsys):
         path = write_scenario(tmp_path, single_user_mapping())
@@ -329,6 +329,21 @@ class TestStudyCommands:
              "--trials", "0", "--out", str(tmp_path / "x.csv")]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("command", ["rank-study", "cert-study"])
+    @pytest.mark.parametrize(
+        "flag, field", [("--sigma2", "noise_power"), ("--eps2", "eps2"), ("--rho", "rho")]
+    )
+    def test_nonpositive_study_parameter_exits_three(self, tmp_path, capsys, command, flag, field):
+        out = tmp_path / "x.csv"
+        for value in ("0", "-1", "nan", "inf"):
+            rc = cli.main(
+                [command, "--n", "2", "--k", "2", "--rates", "0.5", "--trials", "1",
+                 flag, value, "--out", str(out)]
+            )
+            assert rc == 3
+            assert field in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestCounterexampleCommand:

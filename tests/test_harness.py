@@ -273,6 +273,14 @@ class TestMmfRate:
         result = mmf_rate(sc, p_total=1e-3)
         assert result == MmfResult(0.0, 0.0, False)
 
+    def test_failed_probes_reported(self):
+        # One interior-point iteration cannot certify any rate, so every
+        # probe fails numerically and must be counted, not hidden.
+        sc = sample_scenario(0, 3, 2, 1.0, 0.1, 0.04, 1.0)
+        result = mmf_rate(sc, p_total=2.0, settings=conic.SolverSettings(max_iter=1))
+        assert result == MmfResult(0.0, 0.0, False, failed_probes=2)
+        assert mmf_rate(sc, p_total=2.0).failed_probes == 0
+
     def test_rejects_bad_tolerance(self):
         sc = sample_scenario(0, 3, 2, 1.0, 0.1, 0.04, 1.0)
         with pytest.raises(ValueError, match="tol_bits"):

@@ -1,5 +1,7 @@
 """Tests for the dense conic interior-point solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -19,7 +21,13 @@ from robust_miso.conic import (
     solve,
     svec,
 )
-from robust_miso.formulations import build_robust_sdp
+from robust_miso.conic import _Scaling, _Workspace
+from robust_miso.formulations import (
+    BoxUncertainty,
+    EllipsoidUncertainty,
+    FddUncertainty,
+    build_robust_sdp,
+)
 from robust_miso.harness import sample_scenario
 
 
@@ -355,3 +363,137 @@ def test_solver_never_reports_unverified_optimal(seed):
         assert out.cert_res <= 1e-7
     elif out.status is Status.DUAL_INFEASIBLE:
         assert out.cert_res <= 1e-7
+
+
+def interior_point(rng, cones):
+    parts = []
+    for k in cones:
+        if isinstance(k, NonNeg):
+            parts.append(rng.uniform(0.3, 3.0, k.length))
+        else:
+            parts.append(svec(rand_pd(k.order, rng)))
+    return np.concatenate(parts)
+
+
+def patterned_program(rng):
+    """Mixed program whose blocks touch chosen rows of A: two equal-size
+    disjoint supports, two equal-size overlapping ones, a single odd one,
+    a NonNeg block on two rows, a block on every row, one on all rows but
+    one (stored as full: its square would exceed half the Schur complement)
+    and one on none."""
+    cones = [NonNeg(3), Psd(3), Psd(3), Psd(2), Psd(2), Psd(4), Psd(2), Psd(2), Psd(3)]
+    supports = [
+        [2, 3], [0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 2], [2, 3, 4], [1, 5, 6], range(8), range(7), []
+    ]
+    m = 8
+    blocks = []
+    for k, rows in zip(cones, supports):
+        blk = np.zeros((m, k.dim))
+        blk[list(rows)] = rng.standard_normal((len(rows), k.dim))
+        blocks.append(blk)
+    a = np.hstack(blocks)
+    x0, s0 = interior_point(rng, cones), interior_point(rng, cones)
+    y0 = rng.standard_normal(m)
+    return ConicProgram(c=a.T @ y0 + s0, A=a, b=a @ x0, cones=cones)
+
+
+def model_scenario(seed, n, k, model):
+    """Seeded scenario for one of the four error models."""
+    sc = sample_scenario(seed, n, k, 1.0, 0.1, 0.1, 0.7)
+    rng = np.random.default_rng(seed)
+    if model == "ellipsoid":
+        z = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        q, _ = np.linalg.qr(z)
+        axes2 = rng.uniform(0.05, 0.15, (k, n))
+        shapes = np.einsum("kij,kj,klj->kil", q, axes2, q.conj())
+        return replace(sc, uncertainty=EllipsoidUncertainty(shapes))
+    if model == "fdd":
+        return replace(sc, uncertainty=FddUncertainty(0.08))
+    if model == "box":
+        return replace(sc, uncertainty=BoxUncertainty(rng.uniform(0.05, 0.1, k)))
+    return sc
+
+
+MODELS = ("sphere", "ellipsoid", "fdd", "box")
+
+
+def assert_matches_dense_gram(prog, seed=0):
+    """The workspace's G = A F, its Schur complement G G^T and the products
+    with A and G equal the dense reference built column by column from F."""
+    rng = np.random.default_rng(seed)
+    ws = _Workspace(prog)
+    scal = _Scaling(ws, interior_point(rng, prog.cones), interior_point(rng, prog.cones))
+    g_ref = prog.A @ np.column_stack([scal.fwd_x(e) for e in np.eye(prog.n)])
+    s_ref = g_ref @ g_ref.T
+    g = scal.scaled_gram()
+    u, y = rng.standard_normal(prog.n), rng.standard_normal(prog.m)
+
+    def close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    close(g.dense(), g_ref)
+    close(g.gram(), s_ref)
+    close(g.dot(u), g_ref @ u)
+    close(g.tdot(y), g_ref.T @ y)
+    close(ws.a.dense(), prog.A)
+    close(ws.a_dot(u), prog.A @ u)
+    close(ws.a_tdot(y), prog.A.T @ y)
+    return ws
+
+
+def test_gram_on_partial_row_supports():
+    prog = patterned_program(np.random.default_rng(21))
+    ws = assert_matches_dense_gram(prog)
+    # Every kind of support is present, so the narrow path is exercised.
+    narrow = [p for p in ws.parts if p.rows is not None]
+    assert {p.rows.shape for p in narrow} == {(1, 2), (2, 4), (2, 3), (1, 3)}
+    assert ws.a.full.shape == (8, 3 + 3)
+    assert sum(p.cols.shape[0] for p in ws.parts) == len(prog.cones) - 1
+    out = solve(prog)
+    assert out.status is Status.OPTIMAL, out.message
+    assert kkt_residual(prog, out) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "cones, in_order", [([Psd(3), Psd(3), NonNeg(2)], True), ([Psd(3), NonNeg(2), Psd(3)], False)]
+)
+def test_gram_with_all_full_supports(cones, in_order):
+    prog, _, _ = feasible_instance(np.random.default_rng(22), cones)
+    ws = assert_matches_dense_gram(prog)
+    assert not ws.a.narrow
+    assert ws.a.full.shape == prog.A.shape
+    # In x's column order the full matrix is A itself; otherwise a permutation.
+    assert isinstance(ws.full_cols, slice) is in_order
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_gram_on_robust_sdp(model):
+    prog, _ = build_robust_sdp(model_scenario(0, 4, 3, model))
+    ws = assert_matches_dense_gram(prog)
+    # Each user's rows touch only that user's own slack block.
+    z_part = [p for p in ws.parts if p.rows is not None and p.cols.shape == (3, 55)]
+    assert z_part and z_part[0].rows.shape == (3, 25)
+
+
+# Status and iteration count of each seeded solve, as before the Gram and
+# Schur assembly exploited A's row supports.
+PINNED = {
+    (4, 3, "sphere"): [("OPTIMAL", 10), ("OPTIMAL", 9)],
+    (4, 3, "ellipsoid"): [("OPTIMAL", 11), ("OPTIMAL", 11)],
+    (4, 3, "fdd"): [("OPTIMAL", 11), ("OPTIMAL", 9)],
+    (4, 3, "box"): [("OPTIMAL", 11), ("OPTIMAL", 12)],
+    (8, 3, "sphere"): [("OPTIMAL", 10), ("OPTIMAL", 12)],
+    (8, 3, "ellipsoid"): [("OPTIMAL", 11), ("OPTIMAL", 11)],
+    (8, 3, "fdd"): [("OPTIMAL", 10), ("OPTIMAL", 12)],
+    (8, 3, "box"): [("OPTIMAL", 13), ("OPTIMAL", 11)],
+}
+
+
+@pytest.mark.parametrize("shape_model", sorted(PINNED))
+def test_seeded_robust_solves_pinned(shape_model):
+    n, k, model = shape_model
+    got = []
+    for seed in (0, 1):
+        out = solve(build_robust_sdp(model_scenario(seed, n, k, model))[0])
+        got.append((out.status.name, out.iterations))
+    assert got == PINNED[shape_model]
