@@ -144,10 +144,12 @@ def scenario_from_mapping(data) -> ChannelScenario:
     missing = {"n", "k", "noise_power", "rate_targets", "uncertainty", "channels"} - set(data)
     if missing:
         raise ScenarioError(f"scenario file missing keys: {sorted(missing)}")
-    try:
-        n, k = int(data["n"]), int(data["k"])
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError("n and k must be integers") from exc
+    dims = (data["n"], data["k"])
+    # JSON true reads as the int 1 and int() truncates 2.7, so take integral
+    # numbers only (v % 1 is nonzero or NaN otherwise, NaN for inf too).
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) or v % 1 for v in dims):
+        raise ScenarioError("n and k must be integers")
+    n, k = map(int, dims)
     chan = data["channels"]
     if isinstance(chan, dict) and "seed" in chan:
         try:
@@ -230,9 +232,10 @@ def emit_csv(header, rows, out_path: str) -> None:
 def _settings_from_tol(tol: float | None) -> conic.SolverSettings | None:
     if tol is None:
         return None
-    if tol <= 0.0:
-        raise ScenarioError("--tol must be positive")
-    return conic.SolverSettings(tol_feas=tol, tol_gap=tol)
+    try:
+        return conic.SolverSettings(tol_feas=tol, tol_gap=tol)
+    except ValueError as exc:
+        raise ScenarioError(f"--tol: {exc}") from exc
 
 
 def _solver_stats(outcome: conic.SolveOutcome) -> dict:

@@ -16,15 +16,19 @@ so primal/dual infeasibility certificates fall out of the tau/kappa split
 instead of needing a separate phase. Per iteration the Newton system reduces
 to an m x m Schur complement A H^-1 A^T = G G^T with G = A F (H is the NT
 scaling Hessian, whose inverse F F^T is known in closed form), factored by
-Cholesky with iterative refinement against the full augmented system. G and
-the Schur complement are assembled from block row supports, read from A once
-per solve: the support of a cone block is the set of rows of A with a
-nonzero in its columns (the NonNeg columns count as one block). G is formed
-only on those (row, block) pairs. The blocks supported on every row share
-one dense matrix that enters the Schur complement as a single symmetric
-product; every other block adds its own square on its support rows.
-Products with G take the same split, and products with A read only its
-nonzeros.
+Cholesky with iterative refinement against the full augmented system.
+
+One block layout drives every batched operation. It is read from A once per
+solve: the support of a cone block is the set of rows of A with a nonzero in
+its columns (the NonNeg columns count as one block), and every block belongs
+to exactly one part, the blocks of one kind, order and support size. The NT
+scaling, the step lengths and the Newton right-hand sides loop over the
+parts; so do G and the Schur complement, which are formed only on the
+(row, block) pairs of the parts with nonempty support. The blocks supported
+on every row share one dense matrix that enters the Schur complement as a
+single symmetric product; every other block adds its own square on its
+support rows. Products with G take the same split, and products with A read
+only its nonzeros.
 
 Failure policy: the iteration has one exit for numerical breakdown. When the
 scaling or the Schur factorization fails, the step length collapses, or the
@@ -221,6 +225,11 @@ class SolverSettings:
     tol_inf: float = DEFAULT_TOL_INF
     max_iter: int = DEFAULT_MAX_ITER
 
+    def __post_init__(self):
+        for name in ("tol_feas", "tol_gap", "tol_inf"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+
 
 @dataclass
 class SolveOutcome:
@@ -248,24 +257,6 @@ class SolveOutcome:
     message: str = ""
 
 
-class _PsdGroup:
-    """All PSD blocks of one order, batched along the leading axis."""
-
-    def __init__(self, order: int, offsets: list[int]):
-        self.p = order
-        self.q = len(offsets)
-        self.d = order * (order + 1) // 2
-        cols = [np.arange(off, off + self.d) for off in offsets]
-        self.cols = np.concatenate(cols)
-
-    def gather(self, v: np.ndarray) -> np.ndarray:
-        """(n,) vector -> (q, p, p) stacked symmetric matrices."""
-        return smat(v[self.cols].reshape(self.q, self.d), self.p)
-
-    def scatter(self, out: np.ndarray, mats: np.ndarray) -> None:
-        out[self.cols] = svec(mats).reshape(-1)
-
-
 def _index(idx: np.ndarray):
     """idx flattened, or the equal slice when it is one ascending run."""
     flat = idx.ravel()
@@ -275,98 +266,91 @@ def _index(idx: np.ndarray):
 
 
 class _Part:
-    """Cone blocks of one kind whose row supports in A have the same size.
+    """Cone blocks of one kind and order whose row supports in A have the
+    same size: the unit of every batched operation in an iteration.
 
-    group indexes _Workspace.groups, or is None for the NonNeg block; sel
-    picks the blocks within the group, cols (q, d) holds their columns and
-    rows (q, size) their supports. A part stored in the full matrix has rows
-    None and keeps its values at columns `full` of that matrix.
+    order is the matrix order of PSD blocks, or None for the NonNeg block
+    (every NonNeg column, as one block). cols (q, d) holds the blocks'
+    columns and rows (q, size) their supports. A part stored in the full
+    matrix has rows None and keeps its values at columns `full` of that
+    matrix.
     """
 
-    def __init__(self, group, sel, cols: np.ndarray, rows: np.ndarray | None):
-        self.group = group
-        self.sel = sel
+    def __init__(self, order: int | None, cols: np.ndarray, rows: np.ndarray | None):
+        self.order = order
         self.cols = cols
         self.rows = rows
+        self.col_index = _index(cols)
         self.full: slice | None = None
         if rows is not None:
-            self.col_index = _index(cols)
             self.row_index = _index(rows)
             self.squares = []
             for r in rows:
                 run = _index(r)
                 self.squares.append((run, run) if isinstance(run, slice) else np.ix_(r, r))
 
+    def gather(self, v: np.ndarray) -> np.ndarray:
+        """The blocks of an n-vector: (q, p, p) symmetric matrices, or the
+        (1, length) entries of the NonNeg block."""
+        vals = v[self.col_index].reshape(self.cols.shape)
+        return vals if self.order is None else smat(vals, self.order)
+
+    def scatter(self, out: np.ndarray, blocks: np.ndarray) -> None:
+        out[self.col_index] = (blocks if self.order is None else svec(blocks)).ravel()
+
 
 class _Workspace:
     """Cone layout and the (row support, cone block) pattern of A.
 
     The support of a block is the set of rows of A with a nonzero in the
-    block's columns; the NonNeg columns count as one block. Blocks supported
+    block's columns; the NonNeg columns count as one block. Every block
+    belongs to exactly one _Part, keyed by kind, order and support size;
+    layout lists them all, NonNeg first, and drives the NT scaling, the step
+    lengths and the Newton right-hand sides. parts leaves out the blocks
+    with empty support and drives G = A F and its products. Blocks supported
     on every row share one full matrix; the others are stored on their
-    support rows only, and blocks with empty support not at all. A block
-    whose support square exceeds half of m x m joins the full matrix too:
-    the full product is symmetric, so there it costs less than the square.
+    support rows only. A block whose support square exceeds half of m x m
+    joins the full matrix too: the full product is symmetric, so there it
+    costs less than the square.
     """
 
     def __init__(self, prog: ConicProgram):
         self.prog = prog
-        off = 0
-        starts, nn_cones, nn_cols = [], [], []
-        psd_cones: dict[int, list[int]] = {}
-        for i, k in enumerate(prog.cones):
-            starts.append(off)
-            if isinstance(k, NonNeg):
-                nn_cones.append(i)
-                nn_cols.append(np.arange(off, off + k.length))
-            else:
-                psd_cones.setdefault(k.order, []).append(i)
-            off += k.dim
-        self.nn = np.concatenate(nn_cols) if nn_cols else np.zeros(0, dtype=int)
-        orders = sorted(psd_cones)
-        self.groups = [_PsdGroup(p, [starts[i] for i in psd_cones[p]]) for p in orders]
         self.nu = sum(k.barrier for k in prog.cones)
         self.e = cone_identity(prog.cones)
 
         a = prog.A
         m = a.shape[0]
+        bounds = np.cumsum([0] + [k.dim for k in prog.cones])
+        ranges = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         # touched[i, r]: cone i has a nonzero in row r of A.
-        touched = np.logical_or.reduceat(a != 0, starts, axis=1).T
-        sizes = touched.sum(axis=1).tolist()
-        self.parts = []
-        if nn_cones:
-            rows = None
-            if 2 * max(sizes[i] for i in nn_cones) ** 2 <= m * m:
-                rows = np.flatnonzero(touched[nn_cones].any(axis=0))[None]
-                rows = rows if 2 * rows.size**2 <= m * m else None
-            if rows is None or rows.size:
-                self.parts.append(_Part(None, None, self.nn[None], rows))
-        for gi, (p, g) in enumerate(zip(orders, self.groups)):
-            cones = psd_cones[p]
-            for size in sorted({sizes[i] for i in cones} - {0}):
-                sel = [j for j, i in enumerate(cones) if sizes[i] == size]
-                rows = None
-                if 2 * size * size <= m * m:
-                    rows = np.nonzero(touched[[cones[j] for j in sel]])[1].reshape(len(sel), size)
-                cols = g.cols.reshape(g.q, g.d)
-                if len(sel) < g.q:
-                    self.parts.append(_Part(gi, sel, cols[sel], rows))
-                else:
-                    self.parts.append(_Part(gi, slice(None), cols, rows))
+        touched = np.logical_or.reduceat(a != 0, bounds[:-1], axis=1).T
+        nn = [i for i, k in enumerate(prog.cones) if isinstance(k, NonNeg)]
+        blocks = []
+        if nn:
+            blocks.append((None, np.concatenate([ranges[i] for i in nn]), touched[nn].any(axis=0)))
+        blocks += [
+            (k.order, ranges[i], touched[i]) for i, k in enumerate(prog.cones) if isinstance(k, Psd)
+        ]
+        keyed: dict[tuple, list] = {}
+        for order, block_cols, hit in blocks:
+            rows = np.flatnonzero(hit)
+            keyed.setdefault((order, rows.size), []).append((block_cols, rows))
+        # NonNeg (order None) first, then by order and support size.
+        self.layout = []
+        for order, size in sorted(keyed, key=lambda key: (key[0] or 0, key[1])):
+            members = keyed[order, size]
+            rows = np.stack([r for _, r in members]) if 2 * size * size <= m * m else None
+            self.layout.append(_Part(order, np.stack([c for c, _ in members]), rows))
+        self.parts = [p for p in self.layout if p.rows is None or p.rows.size]
+
         full = sorted((p for p in self.parts if p.rows is None), key=lambda p: p.cols[0, 0])
         stop = 0
         for part in full:
             part.full = slice(stop, stop + part.cols.size)
             stop = part.full.stop
-        # Each part's columns ascend and parts are in order of their first
-        # column, so the full columns are one run when every part is one.
-        start = int(full[0].cols[0, 0]) if full else 0
-        if all(p.cols[-1, -1] - p.cols[0, 0] + 1 == p.cols.size for p in full) and (
-            not full or full[-1].cols[-1, -1] + 1 - start == stop
-        ):
-            self.full_cols = slice(start, start + stop)
-        else:
-            self.full_cols = np.concatenate([p.cols.ravel() for p in full])
+        runs = [p.cols.ravel() for p in full]
+        self.full_cols = _index(np.concatenate(runs) if runs else np.zeros(0, dtype=int))
         narrow = {
             p: a[p.rows[:, :, None], p.cols[:, None, :]] for p in self.parts if p.rows is not None
         }
@@ -382,9 +366,7 @@ class _Workspace:
             self.a_tdot = lambda y: np.bincount(cols, vals * y[rows], minlength=n)
         # A's PSD blocks in matrix form on their support rows, fixed across iterations.
         self.a_mats = {
-            p: smat(self.a.values(p), self.groups[p.group].p)
-            for p in self.parts
-            if p.group is not None
+            p: smat(self.a.values(p), p.order) for p in self.parts if p.order is not None
         }
 
 
@@ -450,71 +432,79 @@ class _Patterned:
         return out
 
 
+def _t(mats: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack."""
+    return np.swapaxes(mats, -1, -2)
+
+
 class _Scaling:
     """Nesterov-Todd scaling state for one iterate (x, s).
 
     The scaling map F satisfies F^-1 x = F^T s = lambda (the scaled point).
     All KKT arithmetic happens in scaled coordinates: an element of the
     scaled space is stored as a plain n-vector in the same svec layout as x,
-    which the Gram matrix G = A F acts on through _Patterned.dot.
+    which the Gram matrix G = A F acts on through _Patterned.dot. R, Rinv
+    and lam hold each part's factors, keyed by the part; on the NonNeg
+    block F is the diagonal R = sqrt(x / s), and it has no Rinv.
     """
 
     def __init__(self, ws: _Workspace, x: np.ndarray, s: np.ndarray):
         self.ws = ws
-        xn, sn = x[ws.nn], s[ws.nn]
-        if np.any(xn <= 0) or np.any(sn <= 0):
-            raise np.linalg.LinAlgError("nonnegative block left the interior")
-        self.w = np.sqrt(xn / sn)
-        self.lam_nn = np.sqrt(xn * sn)
-        self.R, self.Rinv, self.lam_psd = [], [], []
-        for g in ws.groups:
-            xm, sm = g.gather(x), g.gather(s)
+        self.R, self.Rinv, self.lam = {}, {}, {}
+        for part in ws.layout:
+            xm, sm = part.gather(x), part.gather(s)
+            if part.order is None:
+                if np.any(xm <= 0) or np.any(sm <= 0):
+                    raise np.linalg.LinAlgError("nonnegative block left the interior")
+                self.R[part] = np.sqrt(xm / sm)
+                self.lam[part] = np.sqrt(xm * sm)
+                continue
             lx = np.linalg.cholesky(xm)
             ls = np.linalg.cholesky(sm)
-            u, sig, vt = np.linalg.svd(np.matmul(ls.transpose(0, 2, 1), lx))
+            u, sig, vt = np.linalg.svd(np.matmul(_t(ls), lx))
             if np.any(sig <= 0):
                 raise np.linalg.LinAlgError("PSD block left the interior")
             isq = 1.0 / np.sqrt(sig)
-            r = np.matmul(lx, vt.transpose(0, 2, 1)) * isq[:, None, :]
-            rinv = np.matmul(isq[:, :, None] * u.transpose(0, 2, 1), ls.transpose(0, 2, 1))
-            self.R.append(r)
-            self.Rinv.append(rinv)
-            self.lam_psd.append(sig)
+            self.R[part] = np.matmul(lx, _t(vt)) * isq[:, None, :]
+            self.Rinv[part] = np.matmul(isq[:, :, None] * _t(u), _t(ls))
+            self.lam[part] = sig
 
     def fwd_x(self, v: np.ndarray) -> np.ndarray:
         """F v: maps a scaled direction back to x-space."""
         out = np.zeros_like(v)
-        out[self.ws.nn] = v[self.ws.nn] * self.w
-        for g, r in zip(self.ws.groups, self.R):
-            g.scatter(out, np.matmul(r, np.matmul(g.gather(v), r.transpose(0, 2, 1))))
+        for part in self.ws.layout:
+            b, r = part.gather(v), self.R[part]
+            part.scatter(out, b * r if part.order is None else np.matmul(r, np.matmul(b, _t(r))))
         return out
 
     def scale_s(self, v: np.ndarray) -> np.ndarray:
         """F^T v: maps an s-space vector into scaled coordinates."""
         out = np.zeros_like(v)
-        out[self.ws.nn] = v[self.ws.nn] * self.w
-        for g, r in zip(self.ws.groups, self.R):
-            g.scatter(out, np.matmul(r.transpose(0, 2, 1), np.matmul(g.gather(v), r)))
+        for part in self.ws.layout:
+            b, r = part.gather(v), self.R[part]
+            part.scatter(out, b * r if part.order is None else np.matmul(_t(r), np.matmul(b, r)))
         return out
 
     def unscale_s(self, v: np.ndarray) -> np.ndarray:
         """F^-T v: maps a scaled direction back to s-space."""
         out = np.zeros_like(v)
-        out[self.ws.nn] = v[self.ws.nn] / self.w
-        for g, rinv in zip(self.ws.groups, self.Rinv):
-            g.scatter(
-                out,
-                np.matmul(rinv.transpose(0, 2, 1), np.matmul(g.gather(v), rinv)),
-            )
+        for part in self.ws.layout:
+            b = part.gather(v)
+            if part.order is None:
+                part.scatter(out, b / self.R[part])
+            else:
+                rinv = self.Rinv[part]
+                part.scatter(out, np.matmul(_t(rinv), np.matmul(b, rinv)))
         return out
 
     def lam_div(self, v: np.ndarray) -> np.ndarray:
         """Inverse of the Jordan product with lambda, blockwise."""
         out = np.zeros_like(v)
-        out[self.ws.nn] = v[self.ws.nn] / self.lam_nn
-        for g, lam in zip(self.ws.groups, self.lam_psd):
-            denom = 0.5 * (lam[:, :, None] + lam[:, None, :])
-            g.scatter(out, g.gather(v) / denom)
+        for part in self.ws.layout:
+            lam = self.lam[part]
+            if part.order is not None:
+                lam = 0.5 * (lam[:, :, None] + lam[:, None, :])
+            part.scatter(out, part.gather(v) / lam)
         return out
 
     def scaled_gram(self) -> _Patterned:
@@ -522,13 +512,11 @@ class _Scaling:
         ws = self.ws
         g = _Patterned(ws.full_cols, np.empty_like(ws.a.full), {}, ws.prog.n)
         for part in ws.parts:
-            vals = ws.a.values(part)
-            if part.group is None:
-                prod = vals * self.w[None, None, :]
+            vals, r = ws.a.values(part), self.R[part][:, None]
+            if part.order is None:
+                prod = vals * r
             else:
-                r = self.R[part.group][part.sel][:, None]
-                tr = np.matmul(r.transpose(0, 1, 3, 2), np.matmul(ws.a_mats[part], r))
-                prod = svec(tr)
+                prod = svec(np.matmul(_t(r), np.matmul(ws.a_mats[part], r)))
             if part.rows is None:
                 g.values(part)[...] = prod
             else:
@@ -538,22 +526,16 @@ class _Scaling:
     def step_limit(self, v: np.ndarray) -> float:
         """Largest alpha keeping lambda + alpha * v (scaled) in the cone."""
         worst = 0.0
-        if self.ws.nn.size:
-            worst = max(worst, float(np.max(-v[self.ws.nn] / self.lam_nn)))
-        for g, lam in zip(self.ws.groups, self.lam_psd):
+        for part in self.ws.layout:
+            b, lam = part.gather(v), self.lam[part]
+            if part.order is None:
+                worst = max(worst, float(np.max(-b / lam)))
+                continue
             isq = 1.0 / np.sqrt(lam)
-            t = g.gather(v) * isq[:, :, None] * isq[:, None, :]
-            t = 0.5 * (t + t.transpose(0, 2, 1))
+            t = b * isq[:, :, None] * isq[:, None, :]
+            t = 0.5 * (t + _t(t))
             worst = max(worst, float(np.max(-np.linalg.eigvalsh(t)[:, 0])))
         return np.inf if worst <= 0 else 1.0 / worst
-
-
-def _batch_diag(vals: np.ndarray) -> np.ndarray:
-    q, p = vals.shape
-    out = np.zeros((q, p, p))
-    idx = np.arange(p)
-    out[:, idx, idx] = vals
-    return out
 
 
 def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOutcome:
@@ -667,16 +649,18 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
             def run(solver):
                 dy = solver(q2 - g_mat.dot(u0))
                 xbar = u0 + g_mat.tdot(dy)
-                state = (dy, xbar, np.inf)
+                state = None
                 for _ in range(_KKT_REFINE + 1):
                     dx = scal.fwd_x(xbar)
                     ds = scal.unscale_s(h - xbar)
                     e1 = q1 - ds - a_tdot(dy)
                     e2 = q2 - a_dot(dx)
                     res = (np.linalg.norm(e1) + np.linalg.norm(e2)) / scale
-                    if res < state[2]:
-                        state = (dy, xbar, res)
-                    if res <= 1e-13 or res > 10.0 * state[2]:
+                    # The first pass is kept even when its residual is not
+                    # finite; it then reads inf, so the QR re-solve runs.
+                    if state is None or res < state[-1]:
+                        state = (dy, xbar, dx, ds, res if res < np.inf else np.inf)
+                    if res <= 1e-13 or res > 10.0 * state[-1]:
                         break
                     # Correction solves the same system with zero h-part.
                     p = scal.scale_s(e1)
@@ -686,21 +670,18 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                 return state
 
             state = run(schur_chol)
-            if state[2] > 1e-11 and m <= n:
+            if state[-1] > 1e-11 and m <= n:
                 if qr_r[0] is None:
                     r_full = sla.qr(g_mat.dense().T, mode="r", check_finite=False)[0]
                     qr_r[0] = np.ascontiguousarray(r_full[:m, :])
                 try:
                     cand = run(schur_qr)
-                    if np.isfinite(cand[2]) and cand[2] < state[2]:
+                    if cand[-1] < state[-1]:
                         state = cand
                 except (np.linalg.LinAlgError, ValueError):
                     pass
-            dy, xbar, _ = state
-            dx = scal.fwd_x(xbar)
-            ds = scal.unscale_s(h - xbar)
-            sbar = h - xbar
-            return dx, dy, ds, xbar, sbar
+            dy, xbar, dx, ds, _ = state
+            return dx, dy, ds, xbar, h - xbar
 
         rx = s + a_tdot(y) - c * tau
         ry = a_dot(x) - b * tau
@@ -713,9 +694,6 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
         den = -float(xb1 @ xb1) - kappa / tau
         if not np.isfinite(den) or den >= -1e-300:
             return _fail("degenerate tau equation", it)
-
-        lam2_nn = scal.lam_nn**2
-        lam2_psd = [sig * sig for sig in scal.lam_psd]
 
         def direction(d_vec, d_tau_rhs):
             h = scal.lam_div(d_vec)
@@ -743,9 +721,11 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
 
         # Predictor: pure Newton toward complementarity zero.
         aff_d = np.zeros(n)
-        aff_d[ws.nn] = -lam2_nn
-        for g, lam2 in zip(ws.groups, lam2_psd):
-            g.scatter(aff_d, -_batch_diag(lam2))
+        for part in ws.layout:
+            lam2 = scal.lam[part] ** 2
+            if part.order is not None:
+                lam2 = lam2[:, :, None] * np.eye(part.order)
+            part.scatter(aff_d, -lam2)
         dxa, dya, dsa, xba, sba, dta, dka = direction(aff_d, -tau * kappa)
         alpha_aff = min(1.0, step_limit(xba, sba, dta, dka))
         mu_aff = (
@@ -756,13 +736,15 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
 
         # Corrector with Mehrotra second-order term.
         comb = np.zeros(n)
-        comb[ws.nn] = sigma * mu - lam2_nn - xba[ws.nn] * sba[ws.nn]
-        for g, lam2 in zip(ws.groups, lam2_psd):
-            xm, sm = g.gather(xba), g.gather(sba)
+        for part in ws.layout:
+            lam2, xm, sm = scal.lam[part] ** 2, part.gather(xba), part.gather(sba)
+            if part.order is None:
+                part.scatter(comb, sigma * mu - lam2 - xm * sm)
+                continue
             base = -0.5 * (np.matmul(xm, sm) + np.matmul(sm, xm))
-            idx = np.arange(lam2.shape[1])
+            idx = np.arange(part.order)
             base[:, idx, idx] += sigma * mu - lam2
-            g.scatter(comb, base)
+            part.scatter(comb, base)
         d_tau_rhs = sigma * mu - tau * kappa - dta * dka
         dx, dy, ds, xb, sb, dtau, dkap = direction(comb, d_tau_rhs)
 

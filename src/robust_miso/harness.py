@@ -76,6 +76,8 @@ class StudyConfig:
     def __post_init__(self):
         rates = tuple(float(r) for r in self.rates)
         object.__setattr__(self, "rates", rates)
+        if self.n_antennas < 1 or self.n_users < 1:
+            raise ValueError("n_antennas and n_users must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not rates or any(b <= a for a, b in zip(rates, rates[1:])):

@@ -127,9 +127,16 @@ class TestScenarioParsing:
         malformed.append((mapping, "noise_power"))
         malformed.append((sampled_mapping(n=3, k=1) | {"channels": {"seed": "abc"}}, "seed"))
         malformed.append((sampled_mapping(n=3, k=1) | {"channels": {"seed": 1, "rho": -1}}, "rho"))
+        # int() would read these as n = 2 and k = 1, and the solve would succeed.
+        fractional_n = sampled_mapping(n=3, k=1) | {"n": 2.7}
+        boolean_k = sampled_mapping(n=3, k=1) | {"k": True}
+        malformed += [(fractional_n, "n and k"), (boolean_k, "n and k")]
         for mapping, match in malformed:
             with pytest.raises(cli.ScenarioError, match=match):
                 cli.scenario_from_mapping(mapping)
+        for mapping in (fractional_n, boolean_k):
+            assert cli.main(["solve", "--scenario", write_scenario(tmp_path, mapping)]) == 3
+            assert "n and k must be integers" in capsys.readouterr().err
         path = write_scenario(tmp_path, malformed[0][0])
         assert cli.main(["certify", "--scenario", path]) == 3
         assert "direction_error" in capsys.readouterr().err
@@ -185,7 +192,9 @@ class TestSolveCommand:
 
     def test_bad_tolerance_exits_three(self, tmp_path, capsys):
         path = write_scenario(tmp_path, single_user_mapping())
-        assert cli.main(["solve", "--scenario", path, "--tol", "-1"]) == 3
+        for tol in ("-1", "0", "nan", "inf"):
+            assert cli.main(["solve", "--scenario", path, "--tol", tol]) == 3
+            assert "--tol" in capsys.readouterr().err
 
     def test_no_stray_temp_files(self, tmp_path):
         path = write_scenario(tmp_path, single_user_mapping())
@@ -343,6 +352,17 @@ class TestStudyCommands:
             )
             assert rc == 3
             assert field in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rank-study", "cert-study"])
+    def test_empty_study_shape_exits_three(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        for n, k in (("0", "2"), ("2", "0")):
+            rc = cli.main(
+                [command, "--n", n, "--k", k, "--rates", "0.5", "--trials", "1", "--out", str(out)]
+            )
+            assert rc == 3
+            assert "must be at least 1" in capsys.readouterr().err
             assert not out.exists()
 
 

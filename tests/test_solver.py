@@ -26,6 +26,9 @@ from robust_miso.formulations import (
     BoxUncertainty,
     EllipsoidUncertainty,
     FddUncertainty,
+    build_fixed_dual,
+    build_fixed_sdp,
+    build_mu_max_pair,
     build_robust_sdp,
 )
 from robust_miso.harness import sample_scenario
@@ -340,6 +343,13 @@ def test_settings_tolerances_respected():
     assert loose.iterations <= tight.iterations
 
 
+@pytest.mark.parametrize("field", ["tol_feas", "tol_gap", "tol_inf"])
+def test_settings_reject_bad_tolerances(field):
+    for value in (0.0, -1e-8, np.nan, np.inf):
+        with pytest.raises(ValueError, match=field):
+            SolverSettings(**{field: value})
+
+
 def test_breakdown_returns_failure_with_best_iterate():
     """A robust design at tiny noise and large channel gain breaks the
     iteration down numerically; the solve must report that, not raise."""
@@ -497,3 +507,32 @@ def test_seeded_robust_solves_pinned(shape_model):
         out = solve(build_robust_sdp(model_scenario(seed, n, k, model))[0])
         got.append((out.status.name, out.iterations))
     assert got == PINNED[shape_model]
+
+
+# The fixed-channel programs (lifted channels h h^H of the seeded scenario)
+# run the whole-matrix layout, one row per user; their duals add a narrow
+# slack block beside a full NonNeg block.
+PINNED_FIXED = {
+    (2, 2, 0): [("OPTIMAL", 7), ("OPTIMAL", 7), ("OPTIMAL", 7), ("OPTIMAL", 7)],
+    (2, 2, 1): [("OPTIMAL", 7), ("OPTIMAL", 7), ("OPTIMAL", 10), ("OPTIMAL", 7)],
+    (4, 3, 0): [("OPTIMAL", 7), ("OPTIMAL", 7), ("OPTIMAL", 7), ("OPTIMAL", 7)],
+    (4, 3, 1): [("OPTIMAL", 7), ("OPTIMAL", 8), ("OPTIMAL", 9), ("OPTIMAL", 9)],
+}
+
+
+@pytest.mark.parametrize("shape_seed", sorted(PINNED_FIXED))
+def test_seeded_fixed_and_dual_solves_pinned(shape_seed):
+    """Status and iterations of build_fixed_sdp, build_fixed_dual and both
+    build_mu_max_pair programs (user 0), in that order."""
+    n, k, seed = shape_seed
+    sc = sample_scenario(seed, n, k, 1.0, 0.1, 0.1, 0.7)
+    chans = np.stack([np.outer(h, h.conj()) for h in sc.presumed.T])
+    (mu_dual, _), (mu_primal, _) = build_mu_max_pair(chans, sc.gamma, 0)
+    progs = [
+        build_fixed_sdp(chans, sc.noise_power, sc.gamma)[0],
+        build_fixed_dual(chans, sc.noise_power, sc.gamma)[0],
+        mu_dual,
+        mu_primal,
+    ]
+    got = [(out.status.name, out.iterations) for out in map(solve, progs)]
+    assert got == PINNED_FIXED[shape_seed]
