@@ -41,6 +41,7 @@ from .formulations import (
     worst_case_margin,
 )
 from .harness import (
+    MAX_DIMENSION,
     StudyConfig,
     certificate_study,
     counterexample_instance,
@@ -150,6 +151,8 @@ def scenario_from_mapping(data) -> ChannelScenario:
     if any(isinstance(v, bool) or not isinstance(v, (int, float)) or v % 1 for v in dims):
         raise ScenarioError("n and k must be integers")
     n, k = map(int, dims)
+    if max(n, k) > MAX_DIMENSION:
+        raise ScenarioError(f"n and k must be at most {MAX_DIMENSION}")
     chan = data["channels"]
     if isinstance(chan, dict) and "seed" in chan:
         try:

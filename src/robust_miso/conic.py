@@ -18,6 +18,15 @@ to an m x m Schur complement A H^-1 A^T = G G^T with G = A F (H is the NT
 scaling Hessian, whose inverse F F^T is known in closed form), factored by
 Cholesky with iterative refinement against the full augmented system.
 
+The step is computed, combined and limited in scaled coordinates, as in the
+CVXOPT cone solvers (Vandenberghe 2010): the KKT solve returns dy and
+xbar = F^-1 dx, the scaled slack step is sbar = h - xbar for the
+complementarity right-hand side h, the predictor's h is -lambda (the scaled
+point F^-1 x = F^T s), and the step lengths and the Mehrotra term read xbar
+and sbar directly. dx = F xbar and ds = F^-T sbar are formed once per
+iteration, for the update. On a PSD block, F, F^T and F^-T share one
+congruence M^T V M, with M = R^T, R or R^-1 for the NT factor R.
+
 One block layout drives every batched operation. It is read from A once per
 solve: the support of a cone block is the set of rows of A with a nonzero in
 its columns (the NonNeg columns count as one block), and every block belongs
@@ -112,25 +121,29 @@ Cone = NonNeg | Psd
 
 @lru_cache(maxsize=None)
 def _svec_index(p: int):
+    """For order p: the flat positions of the upper triangle in row-major
+    order, their svec scaling, and the svec position of every matrix entry."""
     iu, ju = np.triu_indices(p)
     enc = np.where(iu == ju, 1.0, np.sqrt(2.0))
-    return iu, ju, enc
+    pos = np.empty((p, p), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
+    return iu * p + ju, enc, pos.ravel()
 
 
 def svec(m: np.ndarray) -> np.ndarray:
     """Scaled upper-triangular vectorization; supports stacked (..., p, p)."""
     p = m.shape[-1]
-    iu, ju, enc = _svec_index(p)
-    return m[..., iu, ju] * enc
+    upper, enc, _ = _svec_index(p)
+    # Indexing, unlike np.take, leaves the svec axis outermost in memory. The
+    # narrow blocks of G are stored that way, and the rounding of their
+    # products depends on it.
+    return m.reshape(m.shape[:-2] + (p * p,))[..., upper] * enc
 
 
 def smat(v: np.ndarray, p: int) -> np.ndarray:
     """Inverse of svec; supports stacked (..., d) input."""
-    iu, ju, enc = _svec_index(p)
-    out = np.zeros(v.shape[:-1] + (p, p), dtype=v.dtype)
-    out[..., iu, ju] = v / enc
-    out[..., ju, iu] = out[..., iu, ju]
-    return out
+    _, enc, pos = _svec_index(p)
+    return np.take(v / enc, pos, axis=-1).reshape(v.shape[:-1] + (p, p))
 
 
 def cone_dim(cones: tuple[Cone, ...] | list[Cone]) -> int:
@@ -441,16 +454,20 @@ class _Scaling:
     """Nesterov-Todd scaling state for one iterate (x, s).
 
     The scaling map F satisfies F^-1 x = F^T s = lambda (the scaled point).
-    All KKT arithmetic happens in scaled coordinates: an element of the
-    scaled space is stored as a plain n-vector in the same svec layout as x,
-    which the Gram matrix G = A F acts on through _Patterned.dot. R, Rinv
-    and lam hold each part's factors, keyed by the part; on the NonNeg
-    block F is the diagonal R = sqrt(x / s), and it has no Rinv.
+    The Newton step is computed, combined and step-limited in scaled
+    coordinates, xbar = F^-1 dx and sbar = F^T ds, kept as plain n-vectors
+    in the same svec layout as x, which the Gram matrix G = A F acts on
+    through _Patterned.dot; dx = F xbar and ds = F^-T sbar are formed once,
+    for the update. R, Rinv and lam hold each part's factors, keyed by the
+    part, and lam_vec is lambda in the svec layout. On a PSD block
+    F V = R V R^T, F^T V = R^T V R and F^-T V = Rinv^T V Rinv: one
+    congruence M^T V M with M = R^T, R or Rinv. On the NonNeg block F is the
+    diagonal R = sqrt(x / s), and it has no Rinv.
     """
 
     def __init__(self, ws: _Workspace, x: np.ndarray, s: np.ndarray):
         self.ws = ws
-        self.R, self.Rinv, self.lam = {}, {}, {}
+        self.R, self.Rt, self.Rinv, self.lam = {}, {}, {}, {}
         for part in ws.layout:
             xm, sm = part.gather(x), part.gather(s)
             if part.order is None:
@@ -466,40 +483,50 @@ class _Scaling:
                 raise np.linalg.LinAlgError("PSD block left the interior")
             isq = 1.0 / np.sqrt(sig)
             self.R[part] = np.matmul(lx, _t(vt)) * isq[:, None, :]
+            self.Rt[part] = _t(self.R[part])
             self.Rinv[part] = np.matmul(isq[:, :, None] * _t(u), _t(ls))
             self.lam[part] = sig
+        self.lam_vec = np.empty(ws.prog.n)
+        for part, lam in self.lam.items():
+            diag = lam if part.order is None else lam[:, :, None] * np.eye(part.order)
+            part.scatter(self.lam_vec, diag)
 
-    def fwd_x(self, v: np.ndarray) -> np.ndarray:
-        """F v: maps a scaled direction back to x-space."""
-        out = np.zeros_like(v)
-        for part in self.ws.layout:
-            b, r = part.gather(v), self.R[part]
-            part.scatter(out, b * r if part.order is None else np.matmul(r, np.matmul(b, _t(r))))
-        return out
-
-    def scale_s(self, v: np.ndarray) -> np.ndarray:
-        """F^T v: maps an s-space vector into scaled coordinates."""
-        out = np.zeros_like(v)
-        for part in self.ws.layout:
-            b, r = part.gather(v), self.R[part]
-            part.scatter(out, b * r if part.order is None else np.matmul(_t(r), np.matmul(b, r)))
-        return out
-
-    def unscale_s(self, v: np.ndarray) -> np.ndarray:
-        """F^-T v: maps a scaled direction back to s-space."""
-        out = np.zeros_like(v)
+    def _congruence(self, v: np.ndarray, mats: dict, nonneg) -> np.ndarray:
+        """M^T V M on every PSD block V of v, M = mats[part]; nonneg(b, R)
+        on the NonNeg entries b."""
+        out = np.empty_like(v)
         for part in self.ws.layout:
             b = part.gather(v)
             if part.order is None:
-                part.scatter(out, b / self.R[part])
+                part.scatter(out, nonneg(b, self.R[part]))
             else:
-                rinv = self.Rinv[part]
-                part.scatter(out, np.matmul(_t(rinv), np.matmul(b, rinv)))
+                m = mats[part]
+                part.scatter(out, np.matmul(_t(m), np.matmul(b, m)))
+        return out
+
+    def fwd_x(self, v: np.ndarray) -> np.ndarray:
+        """F v: maps a scaled direction back to x-space."""
+        return self._congruence(v, self.Rt, np.multiply)
+
+    def scale_s(self, v: np.ndarray) -> np.ndarray:
+        """F^T v: maps an s-space vector into scaled coordinates."""
+        return self._congruence(v, self.R, np.multiply)
+
+    def unscale_s(self, v: np.ndarray) -> np.ndarray:
+        """F^-T v: maps a scaled direction back to s-space."""
+        return self._congruence(v, self.Rinv, np.divide)
+
+    def jordan(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Jordan product u o v, blockwise: (U V + V U) / 2 on PSD blocks."""
+        out = np.empty_like(u)
+        for part in self.ws.layout:
+            a, b = part.gather(u), part.gather(v)
+            part.scatter(out, a * b if part.order is None else 0.5 * (a @ b + b @ a))
         return out
 
     def lam_div(self, v: np.ndarray) -> np.ndarray:
         """Inverse of the Jordan product with lambda, blockwise."""
-        out = np.zeros_like(v)
+        out = np.empty_like(v)
         for part in self.ws.layout:
             lam = self.lam[part]
             if part.order is not None:
@@ -639,10 +666,11 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
 
         def kkt(q1: np.ndarray, q2: np.ndarray, h: np.ndarray):
             # Solve ds + A^T dy = q1, A dx = q2 with the scaled-space
-            # complementarity closure dxbar + dsbar = h. Everything is
-            # eliminated through the same floating-point G, so iterative
-            # refinement against the unscaled equations contracts reliably:
-            #   dxbar = h - F^T q1 + G^T dy,   G G^T dy = q2 - G (h - F^T q1).
+            # complementarity closure xbar + sbar = h, returning (dy, xbar).
+            # Everything is eliminated through the same floating-point G, so
+            # iterative refinement against the unscaled equations contracts
+            # reliably:
+            #   xbar = h - F^T q1 + G^T dy,   G G^T dy = q2 - G (h - F^T q1).
             scale = 1.0 + np.linalg.norm(q1) + np.linalg.norm(q2)
             u0 = h - scal.scale_s(q1)
 
@@ -651,15 +679,13 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                 xbar = u0 + g_mat.tdot(dy)
                 state = None
                 for _ in range(_KKT_REFINE + 1):
-                    dx = scal.fwd_x(xbar)
-                    ds = scal.unscale_s(h - xbar)
-                    e1 = q1 - ds - a_tdot(dy)
-                    e2 = q2 - a_dot(dx)
+                    e1 = q1 - scal.unscale_s(h - xbar) - a_tdot(dy)
+                    e2 = q2 - a_dot(scal.fwd_x(xbar))
                     res = (np.linalg.norm(e1) + np.linalg.norm(e2)) / scale
                     # The first pass is kept even when its residual is not
                     # finite; it then reads inf, so the QR re-solve runs.
                     if state is None or res < state[-1]:
-                        state = (dy, xbar, dx, ds, res if res < np.inf else np.inf)
+                        state = (dy, xbar, res if res < np.inf else np.inf)
                     if res <= 1e-13 or res > 10.0 * state[-1]:
                         break
                     # Correction solves the same system with zero h-part.
@@ -680,36 +706,29 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                         state = cand
                 except (np.linalg.LinAlgError, ValueError):
                     pass
-            dy, xbar, dx, ds, _ = state
-            return dx, dy, ds, xbar, h - xbar
+            return state[:2]
 
         rx = s + a_tdot(y) - c * tau
         ry = a_dot(x) - b * tau
         rt = kappa + float(c @ x) - float(b @ y)
+        # <c, dx> = <F^T c, xbar>.
+        fc = scal.scale_s(c)
+        lam = scal.lam_vec
 
-        zero_h = np.zeros(n)
-        dx1, dy1, ds1, xb1, sb1 = kkt(c, b, zero_h)
+        dy1, xb1 = kkt(c, b, np.zeros(n))
         # <c, dx1> - <b, dy1> equals -|xbar1|^2 when the solve is exact;
         # using that form keeps the tau denominator strictly negative.
         den = -float(xb1 @ xb1) - kappa / tau
         if not np.isfinite(den) or den >= -1e-300:
             return _fail("degenerate tau equation", it)
 
-        def direction(d_vec, d_tau_rhs):
-            h = scal.lam_div(d_vec)
-            dx2, dy2, ds2, xb2, sb2 = kkt(-rx, -ry, h)
+        def direction(h, d_tau_rhs):
+            dy2, xb2 = kkt(-rx, -ry, h)
             gt = -rt - d_tau_rhs / tau
-            dtau = (gt - float(c @ dx2) + float(b @ dy2)) / den
+            dtau = (gt - float(fc @ xb2) + float(b @ dy2)) / den
             dkap = (d_tau_rhs - kappa * dtau) / tau
-            return (
-                dx2 + dtau * dx1,
-                dy2 + dtau * dy1,
-                ds2 + dtau * ds1,
-                xb2 + dtau * xb1,
-                sb2 + dtau * sb1,
-                dtau,
-                dkap,
-            )
+            xbar = xb2 + dtau * xb1
+            return xbar, h - xbar, dy2 + dtau * dy1, dtau, dkap
 
         def step_limit(xbar, sbar, dtau, dkap):
             alpha = min(scal.step_limit(xbar), scal.step_limit(sbar))
@@ -719,42 +738,29 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                 alpha = min(alpha, -kappa / dkap)
             return alpha
 
-        # Predictor: pure Newton toward complementarity zero.
-        aff_d = np.zeros(n)
-        for part in ws.layout:
-            lam2 = scal.lam[part] ** 2
-            if part.order is not None:
-                lam2 = lam2[:, :, None] * np.eye(part.order)
-            part.scatter(aff_d, -lam2)
-        dxa, dya, dsa, xba, sba, dta, dka = direction(aff_d, -tau * kappa)
+        # Predictor: pure Newton toward complementarity zero, lambda o (xbar
+        # + sbar) = -lambda o lambda.
+        xba, sba, _, dta, dka = direction(-lam, -tau * kappa)
         alpha_aff = min(1.0, step_limit(xba, sba, dta, dka))
         mu_aff = (
-            float((x + alpha_aff * dxa) @ (s + alpha_aff * dsa))
+            float((lam + alpha_aff * xba) @ (lam + alpha_aff * sba))
             + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka)
         ) / (ws.nu + 1)
         sigma = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
-        # Corrector with Mehrotra second-order term.
-        comb = np.zeros(n)
-        for part in ws.layout:
-            lam2, xm, sm = scal.lam[part] ** 2, part.gather(xba), part.gather(sba)
-            if part.order is None:
-                part.scatter(comb, sigma * mu - lam2 - xm * sm)
-                continue
-            base = -0.5 * (np.matmul(xm, sm) + np.matmul(sm, xm))
-            idx = np.arange(part.order)
-            base[:, idx, idx] += sigma * mu - lam2
-            part.scatter(comb, base)
+        # Corrector with Mehrotra second-order term:
+        # lambda o (xbar + sbar) = sigma mu e - lambda o lambda - xbar_a o sbar_a.
+        h = scal.lam_div(sigma * mu * ws.e - scal.jordan(xba, sba)) - lam
         d_tau_rhs = sigma * mu - tau * kappa - dta * dka
-        dx, dy, ds, xb, sb, dtau, dkap = direction(comb, d_tau_rhs)
+        xb, sb, dy, dtau, dkap = direction(h, d_tau_rhs)
 
         alpha = min(1.0, _STEP_ETA * step_limit(xb, sb, dtau, dkap))
         if alpha <= 1e-8:
             return _fail("step length collapsed", it)
 
-        x = x + alpha * dx
+        x = x + alpha * scal.fwd_x(xb)
         y = y + alpha * dy
-        s = s + alpha * ds
+        s = s + alpha * scal.unscale_s(sb)
         tau = tau + alpha * dtau
         kappa = kappa + alpha * dkap
         it += 1

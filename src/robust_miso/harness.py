@@ -37,6 +37,11 @@ THREADS_ENV = "ROBUST_MISO_THREADS"
 # Hard cap on coordinate-ascent sweeps regardless of patience.
 MAX_ASCENT_SWEEPS = 50
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Largest antenna count N and user count K accepted from a caller. A robust
+# design has K (N + 1)^2 equality rows and a dense Schur complement of that
+# order, so designs run out of memory far below this; the bound only keeps
+# an absurd N or K from reaching an allocation.
+MAX_DIMENSION = 1024
 
 
 def sample_scenario(seed, n, k, rho, sigma2, eps2, r) -> ChannelScenario:
@@ -76,8 +81,10 @@ class StudyConfig:
     def __post_init__(self):
         rates = tuple(float(r) for r in self.rates)
         object.__setattr__(self, "rates", rates)
-        if self.n_antennas < 1 or self.n_users < 1:
-            raise ValueError("n_antennas and n_users must be at least 1")
+        if not (1 <= self.n_antennas <= MAX_DIMENSION and 1 <= self.n_users <= MAX_DIMENSION):
+            raise ValueError(
+                f"n_antennas (n) and n_users (k) must be at least 1 and at most {MAX_DIMENSION}"
+            )
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not rates or any(b <= a for a, b in zip(rates, rates[1:])):
@@ -539,6 +546,8 @@ def counterexample_instance(
     """
     if k < 5 or n < k:
         raise ValueError("construction needs n >= k >= 5")
+    if n > MAX_DIMENSION:
+        raise ValueError(f"n and k must be at most {MAX_DIMENSION}")
     delta_max = n * k - 2.0 * n * np.sqrt(k) - 1.0
     if not 0.0 < delta < delta_max:
         raise ValueError(f"delta must lie in (0, {delta_max})")

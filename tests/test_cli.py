@@ -7,7 +7,7 @@ import pytest
 
 from robust_miso import cli
 from robust_miso.formulations import SphereUncertainty
-from robust_miso.harness import sample_scenario
+from robust_miso.harness import MAX_DIMENSION, sample_scenario
 
 
 def write_scenario(tmp_path, mapping, name="scenario.json"):
@@ -140,6 +140,13 @@ class TestScenarioParsing:
         path = write_scenario(tmp_path, malformed[0][0])
         assert cli.main(["certify", "--scenario", path]) == 3
         assert "direction_error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["n", "k"])
+    def test_oversized_dimension_exits_three(self, tmp_path, capsys, field):
+        # Sampling the channels would fail on this size, blaming the seed.
+        mapping = sampled_mapping(n=3, k=1) | {field: 10**400}
+        assert cli.main(["solve", "--scenario", write_scenario(tmp_path, mapping)]) == 3
+        assert f"n and k must be at most {MAX_DIMENSION}" in capsys.readouterr().err
 
 
 class TestSolveCommand:
@@ -365,6 +372,18 @@ class TestStudyCommands:
             assert "must be at least 1" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["rank-study", "cert-study"])
+    def test_oversized_study_shape_exits_three(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        for n, k in ((str(10**400), "2"), ("2", str(10**400))):
+            rc = cli.main(
+                [command, "--n", n, "--k", k, "--rates", "0.5", "--trials", "1", "--out", str(out)]
+            )
+            assert rc == 3
+            err = capsys.readouterr().err
+            assert "(n)" in err and "(k)" in err and f"at most {MAX_DIMENSION}" in err
+            assert not out.exists()
+
 
 class TestCounterexampleCommand:
     def test_reference_point_passes(self, tmp_path):
@@ -390,6 +409,11 @@ class TestCounterexampleCommand:
     def test_small_layout_exits_three(self, tmp_path, capsys):
         assert cli.main(["counterexample", "--n", "4", "--k", "4", "--delta", "0.5"]) == 3
         assert cli.main(["counterexample", "--n", "5", "--k", "5", "--delta", "0"]) == 3
+
+    def test_oversized_layout_exits_three(self, capsys):
+        rc = cli.main(["counterexample", "--n", str(10**400), "--k", "5", "--delta", "1.0"])
+        assert rc == 3
+        assert f"n and k must be at most {MAX_DIMENSION}" in capsys.readouterr().err
 
 
 class TestAuditCommand:

@@ -1,5 +1,7 @@
 """Tests for the dense conic interior-point solver."""
 
+import itertools
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
+from robust_miso import conic
 from robust_miso.conic import (
     ConicProgram,
     NonNeg,
@@ -26,6 +29,7 @@ from robust_miso.formulations import (
     BoxUncertainty,
     EllipsoidUncertainty,
     FddUncertainty,
+    SphereUncertainty,
     build_fixed_dual,
     build_fixed_sdp,
     build_mu_max_pair,
@@ -500,13 +504,20 @@ PINNED = {
 
 
 @pytest.mark.parametrize("shape_model", sorted(PINNED))
-def test_seeded_robust_solves_pinned(shape_model):
+def test_seeded_robust_solves_pinned(shape_model, monkeypatch):
+    # None of these solves may fall back to the QR re-solve: it repairs any
+    # inaccurate KKT solve, so a wrong Schur complement would otherwise keep
+    # every pinned status and iteration count.
+    qr_calls = []
+    qr = conic.sla.qr
+    monkeypatch.setattr(conic.sla, "qr", lambda *args, **kw: qr_calls.append(1) or qr(*args, **kw))
     n, k, model = shape_model
     got = []
     for seed in (0, 1):
         out = solve(build_robust_sdp(model_scenario(seed, n, k, model))[0])
         got.append((out.status.name, out.iterations))
     assert got == PINNED[shape_model]
+    assert len(qr_calls) == 0
 
 
 # The fixed-channel programs (lifted channels h h^H of the seeded scenario)
@@ -536,3 +547,50 @@ def test_seeded_fixed_and_dual_solves_pinned(shape_seed):
     ]
     got = [(out.status.name, out.iterations) for out in map(solve, progs)]
     assert got == PINNED_FIXED[shape_seed]
+
+
+def stress_uncertainty(model, frac, radius, axes):
+    """The stress grid's error set of one model at radius r = frac * min ||h_i||."""
+    if model == "ellipsoid":
+        half_axes2 = radius**2 * np.linspace(0.5, 1.0, 4)
+        return EllipsoidUncertainty(np.einsum("kij,j,klj->kil", axes, half_axes2, axes.conj()))
+    if model == "fdd":
+        return FddUncertainty(frac)
+    if model == "box":
+        return BoxUncertainty(np.full(3, radius / 2))
+    return SphereUncertainty(np.full(3, radius))
+
+
+# (OPTIMAL, PRIMAL_INFEASIBLE, NUMERICAL_FAILURE) counts of each model's 72
+# stress-grid solves. Every failure is at rho = 1e4 with rate 2.0.
+STRESS_COUNTS = {
+    "sphere": (48, 20, 4),
+    "ellipsoid": (48, 20, 4),
+    "fdd": (48, 21, 3),
+    "box": (48, 20, 4),
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_stress_grid_status_counts(model):
+    """4x3 robust designs across noise powers 1e-7 to 1e3, channel gains
+    1e-3 to 1e4, radii of 1e-3 to 0.9 of the smallest channel norm and
+    rates 0.3 and 2.0, all on one channel draw."""
+    rng = np.random.default_rng(7)
+    axes, _ = np.linalg.qr(rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)))
+    counts = Counter()
+    for sigma2, rho, frac, rate in itertools.product(
+        (1e-7, 1e-5, 0.1, 1e3), (1e-3, 1.0, 1e4), (1e-3, 0.3, 0.9), (0.3, 2.0)
+    ):
+        sc = sample_scenario(1, 4, 3, rho, sigma2, 1.0, 0.3)
+        radius = frac * np.min(np.linalg.norm(sc.presumed, axis=0))
+        sc = replace(
+            sc,
+            rate_target=np.full(3, rate),
+            uncertainty=stress_uncertainty(model, frac, radius, axes),
+        )
+        counts[solve(build_robust_sdp(sc)[0]).status] += 1
+    got = tuple(
+        counts[s] for s in (Status.OPTIMAL, Status.PRIMAL_INFEASIBLE, Status.NUMERICAL_FAILURE)
+    )
+    assert got == STRESS_COUNTS[model]
