@@ -143,7 +143,7 @@ def svec(m: np.ndarray) -> np.ndarray:
 def smat(v: np.ndarray, p: int) -> np.ndarray:
     """Inverse of svec; supports stacked (..., d) input."""
     _, enc, pos = _svec_index(p)
-    return np.take(v / enc, pos, axis=-1).reshape(v.shape[:-1] + (p, p))
+    return (v / enc).take(pos, axis=-1).reshape(v.shape[:-1] + (p, p))
 
 
 def cone_dim(cones: tuple[Cone, ...] | list[Cone]) -> int:
@@ -447,7 +447,7 @@ class _Patterned:
 
 def _t(mats: np.ndarray) -> np.ndarray:
     """Transpose of each matrix in a stack."""
-    return np.swapaxes(mats, -1, -2)
+    return mats.swapaxes(-1, -2)
 
 
 class _Scaling:
@@ -543,25 +543,32 @@ class _Scaling:
             if part.order is None:
                 prod = vals * r
             else:
-                prod = svec(np.matmul(_t(r), np.matmul(ws.a_mats[part], r)))
-            if part.rows is None:
+                prod = np.matmul(_t(r), np.matmul(ws.a_mats[part], r))
+            if part.rows is not None:
+                g.narrow[part] = prod if part.order is None else svec(prod)
+            elif part.order is None:
                 g.values(part)[...] = prod
             else:
-                g.narrow[part] = prod
+                # svec written straight into G's full matrix: np.take gathers
+                # the upper triangles and the product with enc lands in place.
+                upper, enc, _ = _svec_index(part.order)
+                flat = prod.reshape(prod.shape[:-2] + (-1,))
+                np.multiply(flat.take(upper, axis=-1), enc, out=g.values(part))
         return g
 
-    def step_limit(self, v: np.ndarray) -> float:
-        """Largest alpha keeping lambda + alpha * v (scaled) in the cone."""
+    def step_limit(self, u: np.ndarray, v: np.ndarray) -> float:
+        """Largest alpha keeping both lambda + alpha * u and lambda + alpha * v
+        (scaled) in the cone."""
         worst = 0.0
         for part in self.ws.layout:
-            b, lam = part.gather(v), self.lam[part]
+            b, lam = np.stack([part.gather(u), part.gather(v)]), self.lam[part]
             if part.order is None:
                 worst = max(worst, float(np.max(-b / lam)))
                 continue
             isq = 1.0 / np.sqrt(lam)
             t = b * isq[:, :, None] * isq[:, None, :]
             t = 0.5 * (t + _t(t))
-            worst = max(worst, float(np.max(-np.linalg.eigvalsh(t)[:, 0])))
+            worst = max(worst, float(np.max(-np.linalg.eigvalsh(t)[..., 0])))
         return np.inf if worst <= 0 else 1.0 / worst
 
 
@@ -731,7 +738,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
             return xbar, h - xbar, dy2 + dtau * dy1, dtau, dkap
 
         def step_limit(xbar, sbar, dtau, dkap):
-            alpha = min(scal.step_limit(xbar), scal.step_limit(sbar))
+            alpha = scal.step_limit(xbar, sbar)
             if dtau < 0:
                 alpha = min(alpha, -tau / dtau)
             if dkap < 0:

@@ -568,19 +568,49 @@ def _fdd_samples(rng: np.random.Generator, count: int, presumed: np.ndarray, del
     return nrm * (alpha[:, None] * hdir[None, :] + beta[:, None] * d)
 
 
+_BOX_PHASES = np.array([1, 1j, -1, -1j])
+
+
+def _box_corners(n: int) -> np.ndarray:
+    """Every point of {1, j, -1, -j}^n, one per row; one empty row at n = 0."""
+    digits = np.arange(4**n)[:, None] // 4 ** np.arange(n - 1, -1, -1) % 4
+    return _BOX_PHASES[digits]
+
+
+def _box_corner_max(amat: np.ndarray, lin: np.ndarray, width: float) -> float:
+    """Maximum of 2 w Re(e^H lin) + w^2 e^H A e over every corner e of
+    {1, j, -1, -j}^N, for w = width.
+
+    The quadratic splits over the halves e = (e1, e2): its value is
+    f1(e1) + f2(e2) + 2 w^2 Re(e1^H A12 e2), so two half-grids of 4^(N/2)
+    corners and one product between them cover all 4^N corners, the
+    meet-in-the-middle split of Horowitz and Sahni (1974).
+    """
+    h = lin.size // 2
+    e1, e2 = _box_corners(h), _box_corners(lin.size - h)
+
+    def half(e, blk, vec):
+        quad = ((e.conj() @ blk) * e).sum(axis=1).real
+        return 2.0 * width * (e.conj() @ vec).real + width**2 * quad
+
+    f1 = half(e1, amat[:h, :h], lin[:h])
+    f2 = half(e2, amat[h:, h:], lin[h:])
+    cross = ((e1.conj() @ amat[:h, h:]) @ e2.T).real
+    return float(np.max(f1[:, None] + f2[None, :] + 2.0 * width**2 * cross))
+
+
 def _box_samples(rng: np.random.Generator, presumed: np.ndarray, width: float, lin: np.ndarray) -> np.ndarray:
-    """Extreme and random points of the per-entry modulus box around presumed."""
+    """Phase-aligned, random and zero points of the per-entry modulus box
+    around presumed, led by WORST_CASE_SAMPLE_CAP random corners when the box
+    has more corners than that (fewer are all covered by _box_corner_max)."""
     n = presumed.size
-    if 4**n <= WORST_CASE_SAMPLE_CAP:
-        grids = np.meshgrid(*([np.array([1, 1j, -1, -1j])] * n), indexing="ij")
-        corners = np.stack([g.reshape(-1) for g in grids], axis=1)
-    else:
-        idx = rng.integers(0, 4, size=(WORST_CASE_SAMPLE_CAP, n))
-        corners = np.array([1, 1j, -1, -1j])[idx]
+    errs = []
+    if 4**n > WORST_CASE_SAMPLE_CAP:
+        errs.append(_BOX_PHASES[rng.integers(0, 4, size=(WORST_CASE_SAMPLE_CAP, n))])
     phases = np.exp(1j * np.angle(lin))[None, :]
     extra = rng.random((256, n)) * np.exp(2j * np.pi * rng.random((256, n)))
-    errs = np.concatenate([corners, phases, -phases, extra, np.zeros((1, n))])
-    return presumed[None, :] + width * errs
+    errs += [phases, -phases, extra, np.zeros((1, n))]
+    return presumed[None, :] + width * np.concatenate(errs)
 
 
 def worst_case_margin(design, scenario: ChannelScenario, user: int):
@@ -595,8 +625,13 @@ def worst_case_margin(design, scenario: ChannelScenario, user: int):
     after whitening for the ellipsoid). The feedback and box sets have no
     tractable exact oracle here; for those a (lower, upper) bracket is
     returned instead, the lower bound from deterministic sampling and the
-    upper bound from the circumscribed ball. design may be a DesignSolution
-    or a stacked (K, N, N) array of covariances.
+    upper bound from the circumscribed ball. For the box with N <= 8 the
+    lower bound is the exact maximum over all 4^N corners (every entry
+    hbar_j + w {1, j, -1, -j}), found from two half-grids, and over the
+    phase-aligned, random and zero points; for larger N,
+    WORST_CASE_SAMPLE_CAP random corners take the place of the full set.
+    design may be a DesignSolution or a stacked (K, N, N) array of
+    covariances.
     """
     w = design.W if isinstance(design, DesignSolution) else np.asarray(design, dtype=complex)
     n, k = scenario.n_antennas, scenario.n_users
@@ -631,8 +666,9 @@ def worst_case_margin(design, scenario: ChannelScenario, user: int):
         val, _ = trs_maximize(TrsInstance(amat, lin, radius))
         return lower, const + val
     width = model.halfwidth[user]
-    chans = _box_samples(rng, hb, width, lin)
-    lower = evaluate(chans)
+    lower = evaluate(_box_samples(rng, hb, width, lin))
+    if 4**n <= WORST_CASE_SAMPLE_CAP:
+        lower = max(lower, const + _box_corner_max(amat, lin, width))
     val, _ = trs_maximize(TrsInstance(amat, lin, np.sqrt(n) * width))
     return lower, const + val
 

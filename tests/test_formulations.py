@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from robust_miso.formulations import (
     build_robust_sdp,
     extract_solution,
     gamma_from_rate,
+    _box_corner_max,
     worst_case_margin,
 )
 from robust_miso.harness import sample_scenario
@@ -674,6 +676,66 @@ class TestWorstCaseMargin:
         from_arrays = worst_case_margin(sol.W, sc, 0)
         from_solution = worst_case_margin(sol, sc, 0)
         assert from_arrays == pytest.approx(from_solution, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_box_corner_split_matches_enumeration(self, n):
+        # n = 1 leaves the first half-grid empty.
+        rng = np.random.default_rng(n)
+        amat = random_hermitian(rng, n)
+        lin = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        width = 0.3
+        want = -np.inf
+        for e in itertools.product([1, 1j, -1, -1j], repeat=n):
+            e = np.array(e)
+            value = 2 * width * np.vdot(e, lin).real + width**2 * np.vdot(e, amat @ e).real
+            want = max(want, value)
+        assert _box_corner_max(amat, lin, width) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_box_lower_bracket_matches_full_enumeration(self, n):
+        """The lower end over all 4^n corners plus the phase-aligned, random
+        and zero points, each channel evaluated on its own. The boxes are wide
+        enough that a corner sets the maximum for some users at n = 4 and 8."""
+        rng = np.random.default_rng(80 + n)
+        k, noise = 2, 0.1
+        sc = ChannelScenario(
+            random_channels(rng, n, k), [noise] * k, [1.0] * k, BoxUncertainty([0.5, 2.0])
+        )
+        g = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        w = 0.05 * np.einsum("kij,klj->kil", g, g.conj())
+        for user in range(k):
+            amat = w.sum(axis=0) - w[user] - w[user] / sc.gamma[user]
+            amat = 0.5 * (amat + amat.conj().T)
+            hb, width = sc.presumed[:, user], sc.uncertainty.halfwidth[user]
+            grids = np.meshgrid(*([np.array([1, 1j, -1, -1j])] * n), indexing="ij")
+            corners = np.stack([grid.reshape(-1) for grid in grids], axis=1)
+            phases = np.exp(1j * np.angle(amat @ hb))[None, :]
+            draws = np.random.default_rng(0)
+            extra = draws.random((256, n)) * np.exp(2j * np.pi * draws.random((256, n)))
+            errs = np.concatenate([corners, phases, -phases, extra, np.zeros((1, n))])
+            chans = hb + width * errs
+            want = noise + np.einsum("sn,nm,sm->s", chans.conj(), amat, chans).real.max()
+            lower, _ = worst_case_margin(w, sc, user)
+            assert lower == pytest.approx(want, abs=1e-12 * noise)
+
+    def test_box_random_corners_pinned(self):
+        # Beyond 4^8 corners the lower end samples random corners; these are
+        # the values of the full-sample evaluation.
+        rng = np.random.default_rng(71)
+        n, k = 9, 2
+        sc = ChannelScenario(
+            random_channels(rng, n, k), [0.1] * k, [1.0] * k, BoxUncertainty([0.05, 0.1])
+        )
+        g = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        w = 0.05 * np.einsum("kij,klj->kil", g, g.conj())
+        pinned = [
+            (-0.20207535768421167, -0.14054213816493877),
+            (-1.9969505996707002, -1.877154916062497),
+        ]
+        for user, (lower, upper) in enumerate(pinned):
+            got = worst_case_margin(w, sc, user)
+            assert got[0] == pytest.approx(lower, rel=1e-12)
+            assert got[1] == pytest.approx(upper, rel=1e-12)
 
     def test_rejects_bad_user(self):
         rng = np.random.default_rng(61)

@@ -489,6 +489,24 @@ def test_gram_on_robust_sdp(model):
     assert z_part and z_part[0].rows.shape == (3, 25)
 
 
+def test_scaled_gram_stores_each_block_congruence():
+    """Every PSD block b of G holds svec(R_b^T A_b R_b) to the bit, both in
+    the full matrix (the W blocks) and on its support rows (the Z blocks)."""
+    rng = np.random.default_rng(23)
+    prog, _ = build_robust_sdp(model_scenario(0, 8, 3, "box"))
+    ws = _Workspace(prog)
+    scal = _Scaling(ws, interior_point(rng, prog.cones), interior_point(rng, prog.cones))
+    g = scal.scaled_gram()
+    stored_full = []
+    for part in ws.parts:
+        if part.order is None:
+            continue
+        stored_full.append(part.rows is None)
+        for got, a_b, r_b in zip(g.values(part), ws.a_mats[part], scal.R[part]):
+            assert np.array_equal(got, svec(np.matmul(r_b.T, np.matmul(a_b, r_b))))
+    assert sorted(stored_full) == [False, True]
+
+
 # Status and iteration count of each seeded solve, as before the Gram and
 # Schur assembly exploited A's row supports.
 PINNED = {
