@@ -37,7 +37,11 @@ parts; so do G and the Schur complement, which are formed only on the
 on every row share one dense matrix that enters the Schur complement as a
 single symmetric product; every other block adds its own square on its
 support rows. Products with G take the same split, and products with A read
-only its nonzeros.
+only its nonzeros. Every part gathers its blocks from an n-vector with one
+take through a table built once per solve (the position of every matrix
+entry, divided by its svec scale), and scatters them back with one take of
+the upper triangles. The Schur complement is factored and solved by LAPACK
+potrf and potrs, called directly.
 
 Failure policy: the iteration has one exit for numerical breakdown. When the
 scaling or the Schur factorization fails, the step length collapses, or the
@@ -69,6 +73,9 @@ DEFAULT_MAX_ITER = 200
 _STEP_ETA = 0.99
 # Iterative refinement passes on each KKT solve.
 _KKT_REFINE = 2
+# The Schur complement's Cholesky factor and solve, called directly rather
+# than through scipy's batching wrappers cho_factor and cho_solve.
+_POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 class Status(enum.Enum):
@@ -286,7 +293,9 @@ class _Part:
     (every NonNeg column, as one block). cols (q, d) holds the blocks'
     columns and rows (q, size) their supports. A part stored in the full
     matrix has rows None and keeps its values at columns `full` of that
-    matrix.
+    matrix. entries (q, p*p) holds the position in an n-vector of every
+    matrix entry of every block and dec their svec divisors, so one take
+    gathers a part; upper and enc are the svec table of its order.
     """
 
     def __init__(self, order: int | None, cols: np.ndarray, rows: np.ndarray | None):
@@ -295,6 +304,10 @@ class _Part:
         self.rows = rows
         self.col_index = _index(cols)
         self.full: slice | None = None
+        self.entries = cols
+        if order is not None:
+            self.upper, self.enc, pos = _svec_index(order)
+            self.entries, self.dec = cols[:, pos], self.enc[pos]
         if rows is not None:
             self.row_index = _index(rows)
             self.squares = []
@@ -303,13 +316,20 @@ class _Part:
                 self.squares.append((run, run) if isinstance(run, slice) else np.ix_(r, r))
 
     def gather(self, v: np.ndarray) -> np.ndarray:
-        """The blocks of an n-vector: (q, p, p) symmetric matrices, or the
-        (1, length) entries of the NonNeg block."""
-        vals = v[self.col_index].reshape(self.cols.shape)
-        return vals if self.order is None else smat(vals, self.order)
+        """The blocks of an n-vector, or of each row of a stacked (k, n)
+        input: (..., q, p, p) symmetric matrices, or the (..., 1, length)
+        entries of the NonNeg block."""
+        vals = v.take(self.entries, axis=-1)
+        if self.order is None:
+            return vals
+        return (vals / self.dec).reshape(vals.shape[:-1] + (self.order, self.order))
 
     def scatter(self, out: np.ndarray, blocks: np.ndarray) -> None:
-        out[self.col_index] = (blocks if self.order is None else svec(blocks)).ravel()
+        """Writes the blocks, as gather returns them, into the n-vector out."""
+        if self.order is not None:
+            flat = blocks.reshape(blocks.shape[:-2] + (-1,))
+            blocks = flat.take(self.upper, axis=-1) * self.enc
+        out[self.col_index] = blocks.ravel()
 
 
 class _Workspace:
@@ -445,6 +465,11 @@ class _Patterned:
         return out
 
 
+def _norm(v: np.ndarray) -> np.floating:
+    """Euclidean norm of a real 1-d array, computed as np.linalg.norm does."""
+    return np.sqrt(v.dot(v))
+
+
 def _t(mats: np.ndarray) -> np.ndarray:
     """Transpose of each matrix in a stack."""
     return mats.swapaxes(-1, -2)
@@ -459,15 +484,16 @@ class _Scaling:
     in the same svec layout as x, which the Gram matrix G = A F acts on
     through _Patterned.dot; dx = F xbar and ds = F^-T sbar are formed once,
     for the update. R, Rinv and lam hold each part's factors, keyed by the
-    part, and lam_vec is lambda in the svec layout. On a PSD block
-    F V = R V R^T, F^T V = R^T V R and F^-T V = Rinv^T V Rinv: one
-    congruence M^T V M with M = R^T, R or Rinv. On the NonNeg block F is the
-    diagonal R = sqrt(x / s), and it has no Rinv.
+    part, isq holds 1 / sqrt(lam) on the PSD parts, and lam_vec is lambda in
+    the svec layout. On a PSD block F V = R V R^T, F^T V = R^T V R and
+    F^-T V = Rinv^T V Rinv: one congruence M^T V M with M = R^T, R or Rinv.
+    On the NonNeg block F is the diagonal R = sqrt(x / s), and it has no
+    Rinv.
     """
 
     def __init__(self, ws: _Workspace, x: np.ndarray, s: np.ndarray):
         self.ws = ws
-        self.R, self.Rt, self.Rinv, self.lam = {}, {}, {}, {}
+        self.R, self.Rt, self.Rinv, self.lam, self.isq = {}, {}, {}, {}, {}
         for part in ws.layout:
             xm, sm = part.gather(x), part.gather(s)
             if part.order is None:
@@ -486,6 +512,7 @@ class _Scaling:
             self.Rt[part] = _t(self.R[part])
             self.Rinv[part] = np.matmul(isq[:, :, None] * _t(u), _t(ls))
             self.lam[part] = sig
+            self.isq[part] = isq
         self.lam_vec = np.empty(ws.prog.n)
         for part, lam in self.lam.items():
             diag = lam if part.order is None else lam[:, :, None] * np.eye(part.order)
@@ -551,35 +578,39 @@ class _Scaling:
             else:
                 # svec written straight into G's full matrix: np.take gathers
                 # the upper triangles and the product with enc lands in place.
-                upper, enc, _ = _svec_index(part.order)
                 flat = prod.reshape(prod.shape[:-2] + (-1,))
-                np.multiply(flat.take(upper, axis=-1), enc, out=g.values(part))
+                np.multiply(flat.take(part.upper, axis=-1), part.enc, out=g.values(part))
         return g
 
     def step_limit(self, u: np.ndarray, v: np.ndarray) -> float:
         """Largest alpha keeping both lambda + alpha * u and lambda + alpha * v
         (scaled) in the cone."""
+        uv = np.stack([u, v])
         worst = 0.0
         for part in self.ws.layout:
-            b, lam = np.stack([part.gather(u), part.gather(v)]), self.lam[part]
+            b = part.gather(uv)
             if part.order is None:
-                worst = max(worst, float(np.max(-b / lam)))
+                worst = max(worst, float(np.max(-b / self.lam[part])))
                 continue
-            isq = 1.0 / np.sqrt(lam)
+            isq = self.isq[part]
             t = b * isq[:, :, None] * isq[:, None, :]
             t = 0.5 * (t + _t(t))
             worst = max(worst, float(np.max(-np.linalg.eigvalsh(t)[..., 0])))
         return np.inf if worst <= 0 else 1.0 / worst
 
 
+# A breaking-down iteration may pass through overflow and NaN; its status and
+# message report that, so numpy's floating-point warnings stay inside.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOutcome:
     """Run the interior-point iteration, returning a certified outcome."""
     cfg = settings or SolverSettings()
     ws = _Workspace(prog)
     a_dot, a_tdot, b, c = ws.a_dot, ws.a_tdot, prog.b, prog.c
     m, n = prog.m, prog.n
-    norm_b = 1.0 + np.linalg.norm(b)
-    norm_c = 1.0 + np.linalg.norm(c)
+    b_norm, c_norm = _norm(b), _norm(c)
+    norm_b = 1.0 + b_norm
+    norm_c = 1.0 + c_norm
 
     x = ws.e.copy()
     s = ws.e.copy()
@@ -594,8 +625,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
         # Optimality on the tau-scaled point.
         xh, yh, sh = x / tau, y / tau, s / tau
         pobj, dobj = float(c @ xh), float(b @ yh)
-        pres = float(np.linalg.norm(a_dot(xh) - b)) / norm_b
-        dres = float(np.linalg.norm(a_tdot(yh) + sh - c)) / norm_c
+        pres = float(_norm(a_dot(xh) - b)) / norm_b
+        dres = float(_norm(a_tdot(yh) + sh - c)) / norm_c
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         score = max(pres, dres, gap)
         if best is None or score < best[0]:
@@ -607,7 +638,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
         # Infeasibility certificates from the homogeneous part.
         by = float(b @ y)
         if by > 0:
-            res = float(np.linalg.norm(a_tdot(y) + s)) * max(1.0, np.linalg.norm(b))
+            res = float(_norm(a_tdot(y) + s)) * max(1.0, b_norm)
             if res <= cfg.tol_inf * by:
                 yn, sn = y / by, s / by
                 cert = cone_distance(-a_tdot(yn), prog.cones)
@@ -618,10 +649,10 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                 )
         cx = float(c @ x)
         if cx < 0:
-            res = float(np.linalg.norm(a_dot(x))) * max(1.0, np.linalg.norm(c))
+            res = float(_norm(a_dot(x))) * max(1.0, c_norm)
             if res <= cfg.tol_inf * (-cx):
                 xn = x / (-cx)
-                cert = float(np.linalg.norm(a_dot(xn)))
+                cert = float(_norm(a_dot(xn)))
                 return SolveOutcome(
                     Status.DUAL_INFEASIBLE, xn, None, None, np.nan, np.nan, it,
                     np.nan, np.nan, np.nan, cert_res=cert,
@@ -649,14 +680,12 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
             schur = g_mat.gram()
             jitter = 0.0
             for attempt in range(4):
-                try:
-                    fac = sla.cho_factor(
-                        schur + (jitter * np.eye(m) if jitter else 0.0),
-                        lower=True, check_finite=False,
-                    )
+                fac, info = _POTRF(
+                    schur + (jitter * np.eye(m) if jitter else 0.0), lower=True, clean=False
+                )
+                if info == 0:
                     break
-                except np.linalg.LinAlgError:
-                    jitter = max(jitter * 100.0, 1e-13 * (1.0 + np.trace(schur) / m))
+                jitter = max(jitter * 100.0, 1e-13 * (1.0 + np.trace(schur) / m))
             else:
                 raise np.linalg.LinAlgError("Schur factorization failed")
         except np.linalg.LinAlgError as exc:
@@ -665,21 +694,22 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
         qr_r: list[np.ndarray | None] = [None]
 
         def schur_chol(r: np.ndarray) -> np.ndarray:
-            return sla.cho_solve(fac, r, check_finite=False)
+            return _POTRS(fac, r, lower=True)[0]
 
         def schur_qr(r: np.ndarray) -> np.ndarray:
             z = sla.solve_triangular(qr_r[0], r, trans=1, check_finite=False)
             return sla.solve_triangular(qr_r[0], z, check_finite=False)
 
-        def kkt(q1: np.ndarray, q2: np.ndarray, h: np.ndarray):
+        def kkt(q1: np.ndarray, fq1: np.ndarray, q2: np.ndarray, h: np.ndarray):
             # Solve ds + A^T dy = q1, A dx = q2 with the scaled-space
-            # complementarity closure xbar + sbar = h, returning (dy, xbar).
+            # complementarity closure xbar + sbar = h, returning (dy, xbar);
+            # fq1 is F^T q1.
             # Everything is eliminated through the same floating-point G, so
             # iterative refinement against the unscaled equations contracts
             # reliably:
             #   xbar = h - F^T q1 + G^T dy,   G G^T dy = q2 - G (h - F^T q1).
-            scale = 1.0 + np.linalg.norm(q1) + np.linalg.norm(q2)
-            u0 = h - scal.scale_s(q1)
+            scale = 1.0 + _norm(q1) + _norm(q2)
+            u0 = h - fq1
 
             def run(solver):
                 dy = solver(q2 - g_mat.dot(u0))
@@ -688,7 +718,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                 for _ in range(_KKT_REFINE + 1):
                     e1 = q1 - scal.unscale_s(h - xbar) - a_tdot(dy)
                     e2 = q2 - a_dot(scal.fwd_x(xbar))
-                    res = (np.linalg.norm(e1) + np.linalg.norm(e2)) / scale
+                    res = (_norm(e1) + _norm(e2)) / scale
                     # The first pass is kept even when its residual is not
                     # finite; it then reads inf, so the QR re-solve runs.
                     if state is None or res < state[-1]:
@@ -720,9 +750,10 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
         rt = kappa + float(c @ x) - float(b @ y)
         # <c, dx> = <F^T c, xbar>.
         fc = scal.scale_s(c)
+        f_rx = scal.scale_s(-rx)
         lam = scal.lam_vec
 
-        dy1, xb1 = kkt(c, b, np.zeros(n))
+        dy1, xb1 = kkt(c, fc, b, np.zeros(n))
         # <c, dx1> - <b, dy1> equals -|xbar1|^2 when the solve is exact;
         # using that form keeps the tau denominator strictly negative.
         den = -float(xb1 @ xb1) - kappa / tau
@@ -730,7 +761,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
             return _fail("degenerate tau equation", it)
 
         def direction(h, d_tau_rhs):
-            dy2, xb2 = kkt(-rx, -ry, h)
+            dy2, xb2 = kkt(-rx, f_rx, -ry, h)
             gt = -rt - d_tau_rhs / tau
             dtau = (gt - float(fc @ xb2) + float(b @ dy2)) / den
             dkap = (d_tau_rhs - kappa * dtau) / tau

@@ -655,7 +655,7 @@ def worst_case_margin(design, scenario: ChannelScenario, user: int):
         return const + val
 
     def evaluate(chans: np.ndarray) -> float:
-        quad = np.einsum("sn,nm,sm->s", chans.conj(), amat, chans).real
+        quad = ((chans.conj() @ amat) * chans).sum(axis=1).real
         return float(np.max(quad) + scenario.noise_power[user])
 
     rng = np.random.default_rng(0)

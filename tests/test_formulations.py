@@ -22,6 +22,8 @@ from robust_miso.formulations import (
     extract_solution,
     gamma_from_rate,
     _box_corner_max,
+    _box_samples,
+    _fdd_samples,
     worst_case_margin,
 )
 from robust_miso.harness import sample_scenario
@@ -736,6 +738,33 @@ class TestWorstCaseMargin:
             got = worst_case_margin(w, sc, user)
             assert got[0] == pytest.approx(lower, rel=1e-12)
             assert got[1] == pytest.approx(upper, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, k, model",
+        [(16, 2, BoxUncertainty([0.05, 0.1])), (4, 3, FddUncertainty(0.3))],
+        ids=["box-16", "fdd-4x3"],
+    )
+    def test_sampled_lower_bracket_matches_einsum(self, n, k, model):
+        """The sampled lower end equals the maximum over the same sample set
+        evaluated by the three-operand einsum, channel by channel."""
+        rng = np.random.default_rng(90 + n)
+        noise = 0.1
+        sc = ChannelScenario(random_channels(rng, n, k), [noise] * k, [1.0] * k, model)
+        g = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        w = 0.05 * np.einsum("kij,klj->kil", g, g.conj())
+        for user in range(k):
+            amat = w.sum(axis=0) - w[user] - w[user] / sc.gamma[user]
+            amat = 0.5 * (amat + amat.conj().T)
+            hb = sc.presumed[:, user]
+            draws = np.random.default_rng(0)
+            if isinstance(model, BoxUncertainty):
+                chans = _box_samples(draws, hb, model.halfwidth[user], amat @ hb)
+            else:
+                chans = _fdd_samples(draws, 4096, hb, model.direction_error)
+                chans = np.concatenate([chans, hb[None, :]])
+            want = noise + np.einsum("sn,nm,sm->s", chans.conj(), amat, chans).real.max()
+            lower, _ = worst_case_margin(w, sc, user)
+            assert lower == pytest.approx(want, abs=1e-12 * noise)
 
     def test_rejects_bad_user(self):
         rng = np.random.default_rng(61)

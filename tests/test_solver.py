@@ -1,6 +1,7 @@
 """Tests for the dense conic interior-point solver."""
 
 import itertools
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -505,6 +506,70 @@ def test_scaled_gram_stores_each_block_congruence():
         for got, a_b, r_b in zip(g.values(part), ws.a_mats[part], scal.R[part]):
             assert np.array_equal(got, svec(np.matmul(r_b.T, np.matmul(a_b, r_b))))
     assert sorted(stored_full) == [False, True]
+
+
+def svec_round_trip(v, cones):
+    """svec(smat(.)) of every PSD block of v; NonNeg entries as they are."""
+    parts, off = [], 0
+    for k in cones:
+        seg = v[off : off + k.dim]
+        parts.append(seg if isinstance(k, NonNeg) else svec(smat(seg, k.order)))
+        off += k.dim
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("program", ["robust-8x3-box", "fixed-4x3"])
+def test_part_gather_and_scatter_tables(program):
+    """Each part gathers its blocks with one take: smat of its columns to the
+    bit, for one n-vector and for a stacked pair, and scatter writes back
+    their svec. The 8x3 box program has a narrow NonNeg, a full W and a
+    narrow Z part; the m = 3 fixed program keeps every block in the full
+    matrix."""
+    rng = np.random.default_rng(24)
+    if program == "fixed-4x3":
+        sc = sample_scenario(0, 4, 3, 1.0, 0.1, 0.1, 0.7)
+        chans = np.stack([np.outer(h, h.conj()) for h in sc.presumed.T])
+        prog = build_fixed_sdp(chans, sc.noise_power, sc.gamma)[0]
+    else:
+        prog = build_robust_sdp(model_scenario(0, 8, 3, "box"))[0]
+    ws = _Workspace(prog)
+    kinds = {(p.order is None, p.rows is None) for p in ws.layout}
+    if program == "fixed-4x3":
+        assert ws.a.whole and kinds == {(True, True), (False, True)}
+    else:
+        assert kinds == {(True, False), (False, True), (False, False)}
+    x, s = interior_point(rng, prog.cones), interior_point(rng, prog.cones)
+    scal = _Scaling(ws, x, s)
+    for u, v in ((x, s), (scal.lam_vec, rng.standard_normal(prog.n))):
+        out = np.full(prog.n, np.nan)
+        for part in ws.layout:
+            got = part.gather(u)
+            vals = u[part.cols]
+            assert np.array_equal(got, vals if part.order is None else smat(vals, part.order))
+            pair = part.gather(np.stack([u, v]))
+            assert np.array_equal(pair, np.stack([got, part.gather(v)]))
+            part.scatter(out, got)
+        # Equal to u itself on the NonNeg and diagonal entries; dividing by
+        # sqrt(2) and multiplying back need not return an off-diagonal one.
+        assert np.array_equal(out, svec_round_trip(u, prog.cones))
+    du, dv = rng.standard_normal((2, prog.n))
+    assert scal.step_limit(du, dv) == min(scal.step_limit(du, du), scal.step_limit(dv, dv))
+
+
+def test_breakdowns_leak_no_runtime_warnings():
+    """Two failure-path solves run through overflow and NaN. The status and
+    message report the breakdown; numpy's warnings stay inside the solve."""
+    sphere = sample_scenario(2, 4, 3, 1e4, 1e-7, 1000.0, 2.0)
+    fdd = replace(sample_scenario(1, 4, 3, 1e4, 1e-7, 0.3, 2.0), uncertainty=FddUncertainty(0.3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outs = [solve(build_robust_sdp(sc)[0]) for sc in (sphere, fdd)]
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    got = [(out.status, out.message, out.iterations) for out in outs]
+    assert got == [
+        (Status.NUMERICAL_FAILURE, "degenerate tau equation", 168),
+        (Status.NUMERICAL_FAILURE, "step length collapsed", 33),
+    ]
 
 
 # Status and iteration count of each seeded solve, as before the Gram and
