@@ -43,6 +43,15 @@ entry, divided by its svec scale), and scatters them back with one take of
 the upper triangles. The Schur complement is factored and solved by LAPACK
 potrf and potrs, called directly.
 
+The large per-iteration arrays are allocated once per solve and overwritten
+every iteration: G's full matrix, the svec stores of the narrow parts, the
+Schur complement and a Fortran-ordered buffer that potrf factors in place
+(the Cholesky jitter adds to its diagonal). Each PSD part forms its
+congruences R^T A_b R over chunks of its support rows, so its two scratch
+stacks hold about _CHUNK doubles and stay in cache; the chunk views are
+built with the workspace. Every matrix product is the same BLAS call as on
+the whole stack, so the chunking does not change a bit of G.
+
 Failure policy: the iteration has one exit for numerical breakdown. When the
 scaling or the Schur factorization fails, the step length collapses, or the
 iteration limit is reached, the solve returns NUMERICAL_FAILURE carrying the
@@ -76,6 +85,8 @@ _KKT_REFINE = 2
 # The Schur complement's Cholesky factor and solve, called directly rather
 # than through scipy's batching wrappers cho_factor and cho_solve.
 _POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+# Doubles per scratch stack (256 KB) in the row-chunked congruence of G.
+_CHUNK = 32768
 
 
 class Status(enum.Enum):
@@ -142,8 +153,8 @@ def svec(m: np.ndarray) -> np.ndarray:
     p = m.shape[-1]
     upper, enc, _ = _svec_index(p)
     # Indexing, unlike np.take, leaves the svec axis outermost in memory. The
-    # narrow blocks of G are stored that way, and the rounding of their
-    # products depends on it.
+    # narrow stores of G keep that layout, and the rounding of their products
+    # depends on it.
     return m.reshape(m.shape[:-2] + (p * p,))[..., upper] * enc
 
 
@@ -345,6 +356,10 @@ class _Workspace:
     support rows only. A block whose support square exceeds half of m x m
     joins the full matrix too: the full product is symmetric, so there it
     costs less than the square.
+
+    g, schur and fac hold G, the Schur complement and its Cholesky factor
+    for every iteration of one solve; g_chunks holds the views that
+    _Scaling.scaled_gram writes G through.
     """
 
     def __init__(self, prog: ConicProgram):
@@ -356,8 +371,9 @@ class _Workspace:
         m = a.shape[0]
         bounds = np.cumsum([0] + [k.dim for k in prog.cones])
         ranges = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        mask = a != 0
         # touched[i, r]: cone i has a nonzero in row r of A.
-        touched = np.logical_or.reduceat(a != 0, bounds[:-1], axis=1).T
+        touched = np.logical_or.reduceat(mask, bounds[:-1], axis=1).T
         nn = [i for i, k in enumerate(prog.cones) if isinstance(k, NonNeg)]
         blocks = []
         if nn:
@@ -392,15 +408,64 @@ class _Workspace:
         # matrix keeps alongside zeros, unless the full matrix is all of A.
         self.a_dot, self.a_tdot = self.a.dot, self.a.tdot
         if not self.a.whole:
-            rows, cols = np.nonzero(a)
-            vals = a[rows, cols]
+            # Row-major, as np.nonzero(a) lists them.
             n = prog.n
+            flat = np.flatnonzero(mask)
+            rows, cols = divmod(flat, n)
+            vals = a.ravel()[flat]
             self.a_dot = lambda u: np.bincount(rows, vals * u[cols], minlength=m)
             self.a_tdot = lambda y: np.bincount(cols, vals * y[rows], minlength=n)
         # A's PSD blocks in matrix form on their support rows, fixed across iterations.
         self.a_mats = {
             p: smat(self.a.values(p), p.order) for p in self.parts if p.order is not None
         }
+
+        # G = A F, the Schur complement and its Cholesky factor, overwritten
+        # every iteration. A narrow PSD store keeps svec's memory layout, the
+        # svec axis outermost: the rounding of its products depends on it.
+        narrow = {}
+        for p in self.parts:
+            if p.rows is not None:
+                q, size, d = self.a.narrow[p].shape
+                narrow[p] = (
+                    np.empty((q, size, d)) if p.order is None
+                    else np.empty((d, q, size)).transpose(1, 2, 0)
+                )
+        self.g = _Patterned(self.full_cols, np.empty_like(self.a.full), narrow, prog.n)
+        self.schur = np.empty((m, m))
+        self.fac = np.empty((m, m), order="F")
+        self.g_chunks = self._chunk_views()
+
+    def _chunk_views(self) -> dict:
+        """Per part, the views that scaled_gram writes G through. A NonNeg
+        part has one pair (A's values, G's values). A PSD part has one tuple
+        per chunk of its support rows: A's matrices, two scratch stacks, the
+        second one flat, and the chunk's rows of G."""
+        # Rows per chunk: at least one, at most the whole support.
+        steps = {}
+        for p, mats in self.a_mats.items():
+            q, size = mats.shape[:2]
+            steps[p] = min(size, max(1, _CHUNK // (q * p.order**2)))
+        longest = max((self.a_mats[p][:, :step].size for p, step in steps.items()), default=0)
+        first, second = np.empty((2, longest))
+        views = {}
+        for p in self.parts:
+            dest = self.g.values(p)
+            if p.order is None:
+                views[p] = [(self.a.values(p), dest)]
+                continue
+            views[p] = []
+            for lo in range(0, dest.shape[1], steps[p]):
+                mats = self.a_mats[p][:, lo : lo + steps[p]]
+                stack = second[: mats.size].reshape(mats.shape)
+                views[p].append((
+                    mats,
+                    first[: mats.size].reshape(mats.shape),
+                    stack,
+                    stack.reshape(mats.shape[:2] + (-1,)),
+                    dest[:, lo : lo + steps[p]],
+                ))
+        return views
 
 
 class _Patterned:
@@ -448,10 +513,11 @@ class _Patterned:
             out[part.col_index] = w.ravel()
         return out
 
-    def gram(self) -> np.ndarray:
-        """This matrix times its transpose: one product over the full-support
-        columns, plus each narrow block's square added on its support rows."""
-        out = self.full @ self.full.T
+    def gram(self, out: np.ndarray) -> np.ndarray:
+        """This matrix times its transpose, written into the m x m out: one
+        product over the full-support columns, plus each narrow block's
+        square added on its support rows."""
+        np.matmul(self.full, self.full.T, out=out)
         for part, vals in self.narrow.items():
             for square, blk in zip(part.squares, np.matmul(vals, vals.transpose(0, 2, 1))):
                 out[square] += blk
@@ -562,25 +628,23 @@ class _Scaling:
         return out
 
     def scaled_gram(self) -> _Patterned:
-        """G = A F on A's pattern, so G G^T = A H^-1 A^T."""
+        """G = A F on A's pattern, so G G^T = A H^-1 A^T. G is the
+        workspace's, overwritten by the next call."""
         ws = self.ws
-        g = _Patterned(ws.full_cols, np.empty_like(ws.a.full), {}, ws.prog.n)
         for part in ws.parts:
-            vals, r = ws.a.values(part), self.R[part][:, None]
+            r = self.R[part][:, None]
             if part.order is None:
-                prod = vals * r
-            else:
-                prod = np.matmul(_t(r), np.matmul(ws.a_mats[part], r))
-            if part.rows is not None:
-                g.narrow[part] = prod if part.order is None else svec(prod)
-            elif part.order is None:
-                g.values(part)[...] = prod
-            else:
-                # svec written straight into G's full matrix: np.take gathers
-                # the upper triangles and the product with enc lands in place.
-                flat = prod.reshape(prod.shape[:-2] + (-1,))
-                np.multiply(flat.take(part.upper, axis=-1), part.enc, out=g.values(part))
-        return g
+                [(vals, dest)] = ws.g_chunks[part]
+                np.multiply(vals, r, out=dest)
+                continue
+            rt = _t(r)
+            for mats, first, second, flat, dest in ws.g_chunks[part]:
+                np.matmul(mats, r, out=first)
+                np.matmul(rt, first, out=second)
+                # svec of the chunk's congruences: np.take gathers the upper
+                # triangles and the product with enc lands in G.
+                np.multiply(flat.take(part.upper, axis=-1), part.enc, out=dest)
+        return ws.g
 
     def step_limit(self, u: np.ndarray, v: np.ndarray) -> float:
         """Largest alpha keeping both lambda + alpha * u and lambda + alpha * v
@@ -677,12 +741,13 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
         try:
             scal = _Scaling(ws, x, s)
             g_mat = scal.scaled_gram()
-            schur = g_mat.gram()
+            schur = g_mat.gram(out=ws.schur)
             jitter = 0.0
             for attempt in range(4):
-                fac, info = _POTRF(
-                    schur + (jitter * np.eye(m) if jitter else 0.0), lower=True, clean=False
-                )
+                np.copyto(ws.fac, schur)
+                if jitter:
+                    ws.fac[np.diag_indices(m)] += jitter
+                fac, info = _POTRF(ws.fac, lower=True, clean=False, overwrite_a=True)
                 if info == 0:
                     break
                 jitter = max(jitter * 100.0, 1e-13 * (1.0 + np.trace(schur) / m))

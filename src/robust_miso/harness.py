@@ -5,8 +5,9 @@ worst-case-gap construction.
 Everything here is a deterministic function of its configuration and seed:
 per-trial generators are spawned from (seed, rate index, trial index), so
 reports are bit-identical across runs and across worker counts. Trials can
-run on a process pool capped by the ROBUST_MISO_THREADS environment
-variable; the default is serial execution.
+run on a process pool sized by the ROBUST_MISO_THREADS environment
+variable, capped at the usable CPUs and at the number of trials; the
+default is serial execution.
 """
 
 from __future__ import annotations
@@ -172,10 +173,18 @@ def _rank_flags(cfg: StudyConfig, rate_idx: int, trial: int) -> tuple[bool, ...]
     return _rank_trial(cfg, rate_idx, trial)[3]
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _study_workers() -> int:
+    """Worker processes from ROBUST_MISO_THREADS, capped at the usable CPUs;
+    1 when it is unset or not an integer."""
     raw = os.environ.get(THREADS_ENV, "")
     try:
-        return max(1, int(raw))
+        return min(max(1, int(raw)), _usable_cpus())
     except ValueError:
         return 1
 
@@ -190,13 +199,13 @@ def rank_study(cfg: StudyConfig, observer=None) -> RankStudyReport:
     observer(rate_idx, trial, scenario, outcome, solution_or_None) for every
     trial in deterministic order and forces serial execution.
     """
-    workers = 1 if observer is not None else _study_workers()
     tasks = [
         (rate_idx, trial)
         for rate_idx in range(len(cfg.rates))
         for trial in range(cfg.trials)
     ]
-    if workers > 1 and len(tasks) > 1:
+    workers = 1 if observer is not None else min(_study_workers(), len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

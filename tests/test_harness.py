@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,14 @@ class TestRankStudy:
     def test_garbage_thread_env_means_serial(self, monkeypatch):
         monkeypatch.setenv(harness.THREADS_ENV, "lots")
         assert harness._study_workers() == 1
+
+    def test_huge_thread_env_capped_at_usable_cpus(self, monkeypatch):
+        # Only the worker count is read: no pool is started and no study runs.
+        monkeypatch.setenv(harness.THREADS_ENV, "100000")
+        workers = harness._study_workers()
+        assert 1 <= workers <= (os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            assert workers == len(os.sched_getaffinity(0))
 
     def test_observer_sees_every_trial_in_order(self):
         cfg = StudyConfig(n_antennas=4, n_users=2, rates=(0.5, 1.5), trials=3, seed=5)
