@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulations import ChannelScenario, LiftedChannel
+from .formulations import ChannelScenario, LiftedChannel, _ball_radius
 from .hermitian import eig_hermitian, is_hermitian, orth_complement_projector
 
 # PSD tolerance for lifting residuals fed to fact3_check.
@@ -153,30 +153,17 @@ def cur_probability_bound(
 def model_margins(scenario: ChannelScenario) -> np.ndarray:
     """A-priori rank-one margins for the non-ball error models.
 
-    Same threshold as theorem1_margin with a model-specific gain ratio:
-    ellipsoid divides the squared projector gain by the largest shape
-    eigenvalue; the quantized-direction model uses unit-normalized channels
-    against the squared direction error; the box model divides by N times
-    the squared halfwidth (its circumscribing ball).
+    Same threshold as theorem1_margin with the gain ratio taken against the
+    circumscribed ball of each user's error set: the squared projector gain
+    over the squared ball radius (the largest shape eigenvalue for the
+    ellipsoid, delta^2 ||hbar_i||^2 for the quantized-direction model, N
+    times the squared halfwidth for the box).
     """
-    kind = scenario.uncertainty.kind
-    k = scenario.n_users
-    thr = _threshold(k, scenario.gamma)
+    if scenario.uncertainty.kind == "sphere":
+        raise ValueError("ball scenarios use theorem1_margin")
+    thr = _threshold(scenario.n_users, scenario.gamma)
     beta = projector_gains(scenario.presumed)
-    if kind == "ellipsoid":
-        lam_max = np.array(
-            [eig_hermitian(c)[0][0] for c in scenario.uncertainty.shape]
-        )
-        return beta**2 / lam_max - thr
-    if kind == "fdd":
-        norms = np.linalg.norm(scenario.presumed, axis=0)
-        delta = scenario.uncertainty.direction_error
-        return (beta / norms) ** 2 / delta**2 - thr
-    if kind == "box":
-        n = scenario.n_antennas
-        width = scenario.uncertainty.halfwidth
-        return beta**2 / (n * width**2) - thr
-    raise ValueError("ball scenarios use theorem1_margin")
+    return beta**2 / _ball_radius(scenario) ** 2 - thr
 
 
 def fact3_check(lifted, mu, gamma) -> np.ndarray:

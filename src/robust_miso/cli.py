@@ -305,8 +305,8 @@ def cmd_certify(args) -> int:
 
 def cmd_mmf(args) -> int:
     scenario = load_scenario(args.scenario)
-    if args.power < 0.0:
-        raise ScenarioError("--power must be nonnegative")
+    if not 0.0 <= args.power < np.inf:
+        raise ScenarioError("--power must be nonnegative and finite")
     try:
         result = mmf_rate(scenario, args.power, tol_bits=args.tol)
     except ValueError as exc:

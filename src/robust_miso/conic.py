@@ -52,12 +52,15 @@ stacks hold about _CHUNK doubles and stay in cache; the chunk views are
 built with the workspace. Every matrix product is the same BLAS call as on
 the whole stack, so the chunking does not change a bit of G.
 
-Failure policy: the iteration has one exit for numerical breakdown. When the
-scaling or the Schur factorization fails, the step length collapses, or the
-iteration limit is reached, the solve returns NUMERICAL_FAILURE carrying the
-best iterate seen so far and a message naming the cause. The only in-loop
-remedies are a diagonal jitter when the Schur complement will not factor and
-a QR re-solve of a KKT system that Cholesky solved inaccurately.
+Failure policy: the iteration has one handler for numerical breakdown. Each
+predictor-corrector step runs inside it, and every breakdown in the step
+raises LinAlgError: the NT scaling, the Schur factorization after jitter, a
+degenerate tau equation, a collapsed step length and the step-length
+eigenvalues. The handler, like the iteration limit, returns
+NUMERICAL_FAILURE carrying the best iterate seen so far and a message naming
+the cause. The only in-loop remedies are a diagonal jitter when the Schur
+complement will not factor and a QR re-solve of a KKT system that Cholesky
+solved inaccurately.
 
 Free variables are not supported; callers encode them with equalities plus
 cone blocks. Complex Hermitian blocks enter through their 2n x 2n real
@@ -67,7 +70,8 @@ embedding (see robust_miso.hermitian.real_embedding).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -152,9 +156,6 @@ def svec(m: np.ndarray) -> np.ndarray:
     """Scaled upper-triangular vectorization; supports stacked (..., p, p)."""
     p = m.shape[-1]
     upper, enc, _ = _svec_index(p)
-    # Indexing, unlike np.take, leaves the svec axis outermost in memory. The
-    # narrow stores of G keep that layout, and the rounding of their products
-    # depends on it.
     return m.reshape(m.shape[:-2] + (p * p,))[..., upper] * enc
 
 
@@ -178,22 +179,23 @@ def cone_identity(cones: list[Cone]) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
-def cone_min_eig(v: np.ndarray, cones: list[Cone]) -> float:
-    """Smallest 'eigenvalue' of v across blocks (entries for NonNeg)."""
-    worst = np.inf
+def _cone_eigs(v: np.ndarray, cones: list[Cone]):
+    """The eigenvalues of each block of v: a NonNeg block's entries, or
+    those of a PSD block's matrix."""
     off = 0
     for k in cones:
         seg = v[off : off + k.dim]
-        if isinstance(k, NonNeg):
-            worst = min(worst, float(np.min(seg)))
-        else:
-            worst = min(worst, float(np.linalg.eigvalsh(smat(seg, k.order))[0]))
         off += k.dim
-    return worst
+        yield seg if isinstance(k, NonNeg) else np.linalg.eigvalsh(smat(seg, k.order))
+
+
+def cone_min_eig(v: np.ndarray, cones: list[Cone]) -> float:
+    """Smallest 'eigenvalue' of v across blocks (entries for NonNeg)."""
+    return min((float(np.min(lam)) for lam in _cone_eigs(v, cones)), default=np.inf)
 
 
 def cone_project(v: np.ndarray, cones: list[Cone]) -> np.ndarray:
-    """Euclidean projection onto K, used for certificate distance checks."""
+    """Euclidean projection onto K."""
     out = np.empty_like(v)
     off = 0
     for k in cones:
@@ -208,7 +210,11 @@ def cone_project(v: np.ndarray, cones: list[Cone]) -> np.ndarray:
 
 
 def cone_distance(v: np.ndarray, cones: list[Cone]) -> float:
-    return float(np.linalg.norm(v - cone_project(v, cones)))
+    """Euclidean distance from v to K: the norm of the negative eigenvalues
+    of its blocks, computed directly rather than as |v - P(v)|, which
+    cancels when v is large."""
+    neg = [np.minimum(lam, 0.0) for lam in _cone_eigs(v, cones)]
+    return float(np.linalg.norm(np.concatenate(neg)))
 
 
 @dataclass
@@ -269,9 +275,11 @@ class SolveOutcome:
     At OPTIMAL, (x, y, s) is the scaled primal-dual pair and objective the
     primal value <c, x>. At PRIMAL_INFEASIBLE, y is a Farkas certificate
     normalized to <b, y> = 1 with -A^T y within tol of the cone (s holds that
-    near-member). At DUAL_INFEASIBLE, x is an improving ray normalized to
-    <c, x> = -1 with A x ~ 0. Residual fields always refer to the returned
-    point.
+    near-member); cert_res is the distance of -A^T y to the cone. At
+    DUAL_INFEASIBLE, x is an improving ray normalized to <c, x> = -1 with
+    A x ~ 0 and x in the cone, both within tol_inf; cert_res is |A x|. At
+    NUMERICAL_FAILURE, x, y, s and the residuals are those of the
+    best-scoring iterate. Residual fields always refer to the returned point.
     """
 
     status: Status
@@ -681,11 +689,16 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
-    best = None  # (score, outcome fields) fallback diagnostics
-    it = 0
+    # The NUMERICAL_FAILURE outcome at the best-scoring iterate so far.
+    best: SolveOutcome | None = None
+    best_score = np.inf
+
+    def _is_ray(v: np.ndarray, cv: float) -> bool:
+        """<c, v> < 0 with A v ~ 0: the improving-ray test."""
+        return cv < 0 and float(_norm(a_dot(v))) * max(1.0, c_norm) <= cfg.tol_inf * -cv
 
     def _classify(it: int) -> SolveOutcome | None:
-        nonlocal best
+        nonlocal best, best_score
         # Optimality on the tau-scaled point.
         xh, yh, sh = x / tau, y / tau, s / tau
         pobj, dobj = float(c @ xh), float(b @ yh)
@@ -693,8 +706,11 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
         dres = float(_norm(a_tdot(yh) + sh - c)) / norm_c
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         score = max(pres, dres, gap)
-        if best is None or score < best[0]:
-            best = (score, xh.copy(), yh.copy(), sh.copy(), pobj, dobj, pres, dres, gap, it)
+        if best is None or score < best_score:
+            best_score = score
+            best = SolveOutcome(
+                Status.NUMERICAL_FAILURE, xh, yh, sh, pobj, dobj, it, pres, dres, gap
+            )
         if pres <= cfg.tol_feas and dres <= cfg.tol_feas and gap <= cfg.tol_gap:
             return SolveOutcome(
                 Status.OPTIMAL, xh, yh, sh, pobj, dobj, it, pres, dres, gap
@@ -712,33 +728,28 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                     message="Farkas dual ray: <b,y>=1, -A^T y in cone",
                 )
         cx = float(c @ x)
-        if cx < 0:
-            res = float(_norm(a_dot(x))) * max(1.0, c_norm)
-            if res <= cfg.tol_inf * (-cx):
-                xn = x / (-cx)
-                cert = float(_norm(a_dot(xn)))
+        if _is_ray(x, cx):
+            # The ray is returned normalized, so the normalized ray itself
+            # must pass the test and lie in the cone.
+            xn = x / (-cx)
+            if _is_ray(xn, float(c @ xn)) and cone_min_eig(xn, prog.cones) >= -cfg.tol_inf:
                 return SolveOutcome(
                     Status.DUAL_INFEASIBLE, xn, None, None, np.nan, np.nan, it,
-                    np.nan, np.nan, np.nan, cert_res=cert,
+                    np.nan, np.nan, np.nan, cert_res=float(_norm(a_dot(xn))),
                     message="improving ray: <c,x>=-1, A x ~ 0, x in cone",
                 )
         return None
 
-    def _fail(msg: str, it: int) -> SolveOutcome:
-        _, xh, yh, sh, pobj, dobj, pres, dres, gap, _ = best
-        return SolveOutcome(
-            Status.NUMERICAL_FAILURE, xh, yh, sh, pobj, dobj, it, pres, dres, gap,
-            message=msg,
-        )
+    message = "iteration limit reached"
+    try:
+        for it in itertools.count():
+            out = _classify(it)
+            if out is not None:
+                return out
+            if it >= cfg.max_iter:
+                break
 
-    while it < cfg.max_iter:
-        out = _classify(it)
-        if out is not None:
-            return out
-
-        mu = (float(x @ s) + tau * kappa) / (ws.nu + 1)
-
-        try:
+            mu = (float(x @ s) + tau * kappa) / (ws.nu + 1)
             scal = _Scaling(ws, x, s)
             g_mat = scal.scaled_gram()
             schur = g_mat.gram(out=ws.schur)
@@ -753,122 +764,117 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                 jitter = max(jitter * 100.0, 1e-13 * (1.0 + np.trace(schur) / m))
             else:
                 raise np.linalg.LinAlgError("Schur factorization failed")
-        except np.linalg.LinAlgError as exc:
-            return _fail(f"{exc}", it)
 
-        qr_r: list[np.ndarray | None] = [None]
+            qr_r: list[np.ndarray | None] = [None]
 
-        def schur_chol(r: np.ndarray) -> np.ndarray:
-            return _POTRS(fac, r, lower=True)[0]
+            def schur_chol(r: np.ndarray) -> np.ndarray:
+                return _POTRS(fac, r, lower=True)[0]
 
-        def schur_qr(r: np.ndarray) -> np.ndarray:
-            z = sla.solve_triangular(qr_r[0], r, trans=1, check_finite=False)
-            return sla.solve_triangular(qr_r[0], z, check_finite=False)
+            def schur_qr(r: np.ndarray) -> np.ndarray:
+                z = sla.solve_triangular(qr_r[0], r, trans=1, check_finite=False)
+                return sla.solve_triangular(qr_r[0], z, check_finite=False)
 
-        def kkt(q1: np.ndarray, fq1: np.ndarray, q2: np.ndarray, h: np.ndarray):
-            # Solve ds + A^T dy = q1, A dx = q2 with the scaled-space
-            # complementarity closure xbar + sbar = h, returning (dy, xbar);
-            # fq1 is F^T q1.
-            # Everything is eliminated through the same floating-point G, so
-            # iterative refinement against the unscaled equations contracts
-            # reliably:
-            #   xbar = h - F^T q1 + G^T dy,   G G^T dy = q2 - G (h - F^T q1).
-            scale = 1.0 + _norm(q1) + _norm(q2)
-            u0 = h - fq1
+            def kkt(q1: np.ndarray, fq1: np.ndarray, q2: np.ndarray, h: np.ndarray):
+                # Solve ds + A^T dy = q1, A dx = q2 with the scaled-space
+                # complementarity closure xbar + sbar = h, returning (dy, xbar);
+                # fq1 is F^T q1.
+                # Everything is eliminated through the same floating-point G, so
+                # iterative refinement against the unscaled equations contracts
+                # reliably:
+                #   xbar = h - F^T q1 + G^T dy,   G G^T dy = q2 - G (h - F^T q1).
+                scale = 1.0 + _norm(q1) + _norm(q2)
+                u0 = h - fq1
 
-            def run(solver):
-                dy = solver(q2 - g_mat.dot(u0))
-                xbar = u0 + g_mat.tdot(dy)
-                state = None
-                for _ in range(_KKT_REFINE + 1):
-                    e1 = q1 - scal.unscale_s(h - xbar) - a_tdot(dy)
-                    e2 = q2 - a_dot(scal.fwd_x(xbar))
-                    res = (_norm(e1) + _norm(e2)) / scale
-                    # The first pass is kept even when its residual is not
-                    # finite; it then reads inf, so the QR re-solve runs.
-                    if state is None or res < state[-1]:
-                        state = (dy, xbar, res if res < np.inf else np.inf)
-                    if res <= 1e-13 or res > 10.0 * state[-1]:
-                        break
-                    # Correction solves the same system with zero h-part.
-                    p = scal.scale_s(e1)
-                    cy = solver(e2 + g_mat.dot(p))
-                    dy = dy + cy
-                    xbar = xbar + (g_mat.tdot(cy) - p)
-                return state
+                def run(solver):
+                    dy = solver(q2 - g_mat.dot(u0))
+                    xbar = u0 + g_mat.tdot(dy)
+                    state = None
+                    for _ in range(_KKT_REFINE + 1):
+                        e1 = q1 - scal.unscale_s(h - xbar) - a_tdot(dy)
+                        e2 = q2 - a_dot(scal.fwd_x(xbar))
+                        res = (_norm(e1) + _norm(e2)) / scale
+                        # The first pass is kept even when its residual is not
+                        # finite; it then reads inf, so the QR re-solve runs.
+                        if state is None or res < state[-1]:
+                            state = (dy, xbar, res if res < np.inf else np.inf)
+                        if res <= 1e-13 or res > 10.0 * state[-1]:
+                            break
+                        # Correction solves the same system with zero h-part.
+                        p = scal.scale_s(e1)
+                        cy = solver(e2 + g_mat.dot(p))
+                        dy = dy + cy
+                        xbar = xbar + (g_mat.tdot(cy) - p)
+                    return state
 
-            state = run(schur_chol)
-            if state[-1] > 1e-11 and m <= n:
-                if qr_r[0] is None:
-                    r_full = sla.qr(g_mat.dense().T, mode="r", check_finite=False)[0]
-                    qr_r[0] = np.ascontiguousarray(r_full[:m, :])
-                try:
-                    cand = run(schur_qr)
-                    if cand[-1] < state[-1]:
-                        state = cand
-                except (np.linalg.LinAlgError, ValueError):
-                    pass
-            return state[:2]
+                state = run(schur_chol)
+                if state[-1] > 1e-11 and m <= n:
+                    if qr_r[0] is None:
+                        r_full = sla.qr(g_mat.dense().T, mode="r", check_finite=False)[0]
+                        qr_r[0] = np.ascontiguousarray(r_full[:m, :])
+                    try:
+                        cand = run(schur_qr)
+                        if cand[-1] < state[-1]:
+                            state = cand
+                    except (np.linalg.LinAlgError, ValueError):
+                        pass
+                return state[:2]
 
-        rx = s + a_tdot(y) - c * tau
-        ry = a_dot(x) - b * tau
-        rt = kappa + float(c @ x) - float(b @ y)
-        # <c, dx> = <F^T c, xbar>.
-        fc = scal.scale_s(c)
-        f_rx = scal.scale_s(-rx)
-        lam = scal.lam_vec
+            rx = s + a_tdot(y) - c * tau
+            ry = a_dot(x) - b * tau
+            rt = kappa + float(c @ x) - float(b @ y)
+            # <c, dx> = <F^T c, xbar>.
+            fc = scal.scale_s(c)
+            f_rx = scal.scale_s(-rx)
+            lam = scal.lam_vec
 
-        dy1, xb1 = kkt(c, fc, b, np.zeros(n))
-        # <c, dx1> - <b, dy1> equals -|xbar1|^2 when the solve is exact;
-        # using that form keeps the tau denominator strictly negative.
-        den = -float(xb1 @ xb1) - kappa / tau
-        if not np.isfinite(den) or den >= -1e-300:
-            return _fail("degenerate tau equation", it)
+            dy1, xb1 = kkt(c, fc, b, np.zeros(n))
+            # <c, dx1> - <b, dy1> equals -|xbar1|^2 when the solve is exact;
+            # using that form keeps the tau denominator strictly negative.
+            den = -float(xb1 @ xb1) - kappa / tau
+            if not np.isfinite(den) or den >= -1e-300:
+                raise np.linalg.LinAlgError("degenerate tau equation")
 
-        def direction(h, d_tau_rhs):
-            dy2, xb2 = kkt(-rx, f_rx, -ry, h)
-            gt = -rt - d_tau_rhs / tau
-            dtau = (gt - float(fc @ xb2) + float(b @ dy2)) / den
-            dkap = (d_tau_rhs - kappa * dtau) / tau
-            xbar = xb2 + dtau * xb1
-            return xbar, h - xbar, dy2 + dtau * dy1, dtau, dkap
+            def direction(h, d_tau_rhs):
+                dy2, xb2 = kkt(-rx, f_rx, -ry, h)
+                gt = -rt - d_tau_rhs / tau
+                dtau = (gt - float(fc @ xb2) + float(b @ dy2)) / den
+                dkap = (d_tau_rhs - kappa * dtau) / tau
+                xbar = xb2 + dtau * xb1
+                return xbar, h - xbar, dy2 + dtau * dy1, dtau, dkap
 
-        def step_limit(xbar, sbar, dtau, dkap):
-            alpha = scal.step_limit(xbar, sbar)
-            if dtau < 0:
-                alpha = min(alpha, -tau / dtau)
-            if dkap < 0:
-                alpha = min(alpha, -kappa / dkap)
-            return alpha
+            def step_limit(xbar, sbar, dtau, dkap):
+                alpha = scal.step_limit(xbar, sbar)
+                if dtau < 0:
+                    alpha = min(alpha, -tau / dtau)
+                if dkap < 0:
+                    alpha = min(alpha, -kappa / dkap)
+                return alpha
 
-        # Predictor: pure Newton toward complementarity zero, lambda o (xbar
-        # + sbar) = -lambda o lambda.
-        xba, sba, _, dta, dka = direction(-lam, -tau * kappa)
-        alpha_aff = min(1.0, step_limit(xba, sba, dta, dka))
-        mu_aff = (
-            float((lam + alpha_aff * xba) @ (lam + alpha_aff * sba))
-            + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka)
-        ) / (ws.nu + 1)
-        sigma = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
+            # Predictor: pure Newton toward complementarity zero, lambda o (xbar
+            # + sbar) = -lambda o lambda.
+            xba, sba, _, dta, dka = direction(-lam, -tau * kappa)
+            alpha_aff = min(1.0, step_limit(xba, sba, dta, dka))
+            mu_aff = (
+                float((lam + alpha_aff * xba) @ (lam + alpha_aff * sba))
+                + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka)
+            ) / (ws.nu + 1)
+            sigma = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
-        # Corrector with Mehrotra second-order term:
-        # lambda o (xbar + sbar) = sigma mu e - lambda o lambda - xbar_a o sbar_a.
-        h = scal.lam_div(sigma * mu * ws.e - scal.jordan(xba, sba)) - lam
-        d_tau_rhs = sigma * mu - tau * kappa - dta * dka
-        xb, sb, dy, dtau, dkap = direction(h, d_tau_rhs)
+            # Corrector with Mehrotra second-order term:
+            # lambda o (xbar + sbar) = sigma mu e - lambda o lambda - xbar_a o sbar_a.
+            h = scal.lam_div(sigma * mu * ws.e - scal.jordan(xba, sba)) - lam
+            d_tau_rhs = sigma * mu - tau * kappa - dta * dka
+            xb, sb, dy, dtau, dkap = direction(h, d_tau_rhs)
 
-        alpha = min(1.0, _STEP_ETA * step_limit(xb, sb, dtau, dkap))
-        if alpha <= 1e-8:
-            return _fail("step length collapsed", it)
+            alpha = min(1.0, _STEP_ETA * step_limit(xb, sb, dtau, dkap))
+            if alpha <= 1e-8:
+                raise np.linalg.LinAlgError("step length collapsed")
 
-        x = x + alpha * scal.fwd_x(xb)
-        y = y + alpha * dy
-        s = s + alpha * scal.unscale_s(sb)
-        tau = tau + alpha * dtau
-        kappa = kappa + alpha * dkap
-        it += 1
-
-    out = _classify(it)
-    if out is not None:
-        return out
-    return _fail("iteration limit reached", it)
+            x = x + alpha * scal.fwd_x(xb)
+            y = y + alpha * dy
+            s = s + alpha * scal.unscale_s(sb)
+            tau = tau + alpha * dtau
+            kappa = kappa + alpha * dkap
+    except np.linalg.LinAlgError as exc:
+        message = f"{exc}"
+    return replace(best, iterations=it, message=message)

@@ -613,6 +613,21 @@ def _box_samples(rng: np.random.Generator, presumed: np.ndarray, width: float, l
     return presumed[None, :] + width * np.concatenate(errs)
 
 
+def _ball_radius(scenario: ChannelScenario) -> np.ndarray:
+    """Per-user radius of the smallest ball around the presumed channel that
+    holds the user's error set: r for the sphere, the square root of the
+    largest shape eigenvalue for the ellipsoid, sqrt(N) w for the box and
+    delta ||hbar_i|| for the feedback model."""
+    model = scenario.uncertainty
+    if isinstance(model, SphereUncertainty):
+        return model.radius
+    if isinstance(model, EllipsoidUncertainty):
+        return np.array([np.sqrt(eig_hermitian(c)[0][0]) for c in model.shape])
+    if isinstance(model, BoxUncertainty):
+        return np.sqrt(scenario.n_antennas) * model.halfwidth
+    return model.direction_error * np.linalg.norm(scenario.presumed, axis=0)
+
+
 def worst_case_margin(design, scenario: ChannelScenario, user: int):
     """Worst-case rate-constraint value for one user.
 
@@ -646,12 +661,14 @@ def worst_case_margin(design, scenario: ChannelScenario, user: int):
     const = float(scenario.noise_power[user] + np.vdot(hb, amat @ hb).real)
     model = scenario.uncertainty
 
-    if isinstance(model, SphereUncertainty):
-        val, _ = trs_maximize(TrsInstance(amat, lin, model.radius[user]))
-        return const + val
     if isinstance(model, EllipsoidUncertainty):
         root = _psd_sqrt(model.shape[user])
         val, _ = trs_maximize(TrsInstance(root @ amat @ root, root @ lin, 1.0))
+        return const + val
+    # Exact on the sphere; on the other sets the circumscribed ball's value
+    # is the upper end of the bracket.
+    val, _ = trs_maximize(TrsInstance(amat, lin, _ball_radius(scenario)[user]))
+    if isinstance(model, SphereUncertainty):
         return const + val
 
     def evaluate(chans: np.ndarray) -> float:
@@ -660,16 +677,12 @@ def worst_case_margin(design, scenario: ChannelScenario, user: int):
 
     rng = np.random.default_rng(0)
     if isinstance(model, FddUncertainty):
-        radius = model.direction_error * float(np.linalg.norm(hb))
         chans = _fdd_samples(rng, 4096, hb, model.direction_error)
-        lower = max(evaluate(chans), evaluate(hb[None, :]))
-        val, _ = trs_maximize(TrsInstance(amat, lin, radius))
-        return lower, const + val
+        return max(evaluate(chans), evaluate(hb[None, :])), const + val
     width = model.halfwidth[user]
     lower = evaluate(_box_samples(rng, hb, width, lin))
     if 4**n <= WORST_CASE_SAMPLE_CAP:
         lower = max(lower, const + _box_corner_max(amat, lin, width))
-    val, _ = trs_maximize(TrsInstance(amat, lin, np.sqrt(n) * width))
     return lower, const + val
 
 

@@ -25,6 +25,7 @@ from .formulations import (
     DesignSolution,
     LiftedChannel,
     SphereUncertainty,
+    _ball_radius,
     _ball_samples,
     build_fixed_dual,
     build_fixed_sdp,
@@ -32,7 +33,7 @@ from .formulations import (
     extract_solution,
     gamma_from_rate,
 )
-from .hermitian import eig_hermitian, numerical_rank
+from .hermitian import numerical_rank
 
 THREADS_ENV = "ROBUST_MISO_THREADS"
 # Hard cap on coordinate-ascent sweeps regardless of patience.
@@ -282,20 +283,6 @@ class MmfResult:
     failed_probes: int = 0
 
 
-def _deviation_bound(scenario: ChannelScenario) -> np.ndarray:
-    """Per-user upper bound on how far an admissible channel may move."""
-    unc = scenario.uncertainty
-    if unc.kind == "sphere":
-        return np.asarray(unc.radius, dtype=float)
-    if unc.kind == "ellipsoid":
-        return np.array([np.sqrt(eig_hermitian(c)[0][0]) for c in unc.shape])
-    if unc.kind == "box":
-        n = scenario.n_antennas
-        return np.sqrt(n) * np.asarray(unc.halfwidth, dtype=float)
-    norms = np.linalg.norm(scenario.presumed, axis=0)
-    return unc.direction_error * norms
-
-
 def mmf_rate(
     scenario: ChannelScenario,
     p_total: float,
@@ -311,8 +298,8 @@ def mmf_rate(
     optimistic admissible channel gains. Returns rate 0 with feasible=False
     when even tol_bits is out of reach.
     """
-    if tol_bits <= 0.0:
-        raise ValueError("tol_bits must be positive")
+    if not 0.0 < tol_bits < np.inf:
+        raise ValueError("tol_bits must be positive and finite")
     if not np.isfinite(p_total) or p_total <= 0.0:
         return MmfResult(rate=0.0, power=0.0, feasible=False)
 
@@ -329,7 +316,7 @@ def mmf_rate(
         return outcome.objective <= p_total, outcome.objective
 
     norms = np.linalg.norm(scenario.presumed, axis=0)
-    gain = (norms + _deviation_bound(scenario)) ** 2
+    gain = (norms + _ball_radius(scenario)) ** 2
     r_hi = float(np.min(np.log2(1.0 + p_total * gain / scenario.noise_power)))
     if r_hi <= tol_bits:
         return MmfResult(rate=0.0, power=0.0, feasible=False)

@@ -282,7 +282,12 @@ class TestMmfCommand:
 
     def test_negative_power_exits_three(self, tmp_path, capsys):
         path = write_scenario(tmp_path, single_user_mapping())
-        assert cli.main(["mmf", "--scenario", path, "--power", "-1"]) == 3
+        for power in ("-1", "nan", "inf"):
+            assert cli.main(["mmf", "--scenario", path, "--power", power]) == 3
+            assert "--power" in capsys.readouterr().err
+        for tol in ("nan", "inf"):
+            assert cli.main(["mmf", "--scenario", path, "--power", "1", "--tol", tol]) == 3
+            assert "tol_bits" in capsys.readouterr().err
 
 
 class TestStudyCommands:

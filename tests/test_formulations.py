@@ -21,6 +21,7 @@ from robust_miso.formulations import (
     build_robust_sdp,
     extract_solution,
     gamma_from_rate,
+    _ball_radius,
     _box_corner_max,
     _box_samples,
     _fdd_samples,
@@ -678,6 +679,43 @@ class TestWorstCaseMargin:
         from_arrays = worst_case_margin(sol.W, sc, 0)
         from_solution = worst_case_margin(sol, sc, 0)
         assert from_arrays == pytest.approx(from_solution, abs=1e-12)
+
+    def test_ball_radius_reaches_farthest_member(self):
+        """_ball_radius is each user's largest admissible deviation: one
+        member of the error set is that far from the presumed channel, and
+        the margin oracle's samples are no farther."""
+        rng = np.random.default_rng(61)
+        hb = random_channels(rng, 3, 2)
+        q, _ = np.linalg.qr(random_channels(rng, 3, 3))
+        axis = q[:, 2]  # the ellipsoid's longest semi-axis, 0.3
+        shapes = np.stack([q @ np.diag([0.01, 0.04, 0.09]) @ q.conj().T] * 2)
+        delta = 0.3
+
+        def fdd_far(h):
+            # Keeps the norm and sits on the edge Re(alpha) = 1 - delta^2 / 2.
+            d = axis - np.vdot(h, axis) / np.vdot(h, h) * h
+            alpha = 1.0 - 0.5 * delta**2
+            beta = np.sqrt(1.0 - alpha**2) * np.linalg.norm(h) / np.linalg.norm(d)
+            return alpha * h + beta * d
+
+        cases = [
+            (SphereUncertainty([0.2, 0.2]), lambda h: h + 0.2 * axis, None),
+            (EllipsoidUncertainty(shapes), lambda h: h + 0.3 * axis, None),
+            (
+                BoxUncertainty([0.1, 0.1]),
+                lambda h: h + 0.1j * np.ones(3),
+                lambda h: _box_samples(rng, h, 0.1, h),
+            ),
+            (FddUncertainty(delta), fdd_far, lambda h: _fdd_samples(rng, 256, h, delta)),
+        ]
+        for model, far, samples in cases:
+            sc = ChannelScenario(hb, [0.1] * 2, [1.0] * 2, model)
+            radius = _ball_radius(sc)
+            for i, h in enumerate(hb.T):
+                assert np.linalg.norm(far(h) - h) == pytest.approx(radius[i], rel=1e-12)
+                if samples is not None:
+                    dist = np.linalg.norm(samples(h) - h, axis=1)
+                    assert np.max(dist) <= radius[i] * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_box_corner_split_matches_enumeration(self, n):

@@ -293,8 +293,9 @@ class TestMmfRate:
 
     def test_rejects_bad_tolerance(self):
         sc = sample_scenario(0, 3, 2, 1.0, 0.1, 0.04, 1.0)
-        with pytest.raises(ValueError, match="tol_bits"):
-            mmf_rate(sc, p_total=1.0, tol_bits=0.0)
+        for tol in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol_bits"):
+                mmf_rate(sc, p_total=1.0, tol_bits=tol)
 
 
 class TestDualityAudit:

@@ -129,6 +129,7 @@ def test_cone_project_is_metric_projection():
     w = np.concatenate([rng.uniform(0, 2, 3), svec(rand_pd(4, rng))])
     assert np.linalg.norm(v - p) <= np.linalg.norm(v - w) + 1e-12
     assert cone_distance(p, cones) <= 1e-12
+    assert cone_distance(v, cones) == pytest.approx(np.linalg.norm(v - p), rel=1e-12)
 
 
 def test_program_validation():
@@ -364,6 +365,67 @@ def test_breakdown_returns_failure_with_best_iterate():
     assert out.status is Status.NUMERICAL_FAILURE
     assert out.message
     assert np.isfinite(out.primal_res)
+
+
+def test_step_limit_breakdown_returns_best_iterate(monkeypatch):
+    """A non-finite direction makes the step-length eigvalsh raise inside a
+    step; the solve returns NUMERICAL_FAILURE with the best iterate, the
+    one an iteration cap at the same iteration returns."""
+    prog, _, _ = feasible_instance(np.random.default_rng(12), cones=[Psd(3), NonNeg(2)])
+    capped = solve(prog, SolverSettings(max_iter=1))
+    calls = []
+    step_limit = _Scaling.step_limit
+
+    def poisoned(self, u, v):
+        # The first call of iteration 1 is its predictor.
+        calls.append(1)
+        return step_limit(self, u * np.nan if len(calls) == 3 else u, v)
+
+    monkeypatch.setattr(_Scaling, "step_limit", poisoned)
+    out = solve(prog)
+    assert out.status is Status.NUMERICAL_FAILURE
+    assert out.iterations == 1
+    assert out.message == "Eigenvalues did not converge"
+    for got, want in ((out.x, capped.x), (out.y, capped.y), (out.s, capped.s)):
+        assert got.tobytes() == want.tobytes()
+    assert out.primal_res == capped.primal_res
+
+
+def test_improving_ray_checked_after_normalization():
+    """On this box design the unnormalized iterate passes the ray test, but
+    x / -<c, x> does not (<c, x> = -0.5, |A x| ~ 1e6, smallest eigenvalue
+    -5.5). A power minimization has no improving ray, so the solve must not
+    report DUAL_INFEASIBLE."""
+    sc = sample_scenario(7, 4, 3, 1e5, 1e-7, 1.0, 3.0)
+    sc = replace(sc, uncertainty=BoxUncertainty(np.full(3, 227.3277387491483)))
+    out = solve(build_robust_sdp(sc)[0])
+    assert (out.status, out.message, out.iterations) == (
+        Status.NUMERICAL_FAILURE, "nonnegative block left the interior", 165
+    )
+
+
+def test_farkas_cert_res_is_negative_part_norm():
+    """cert_res is the norm of the negative eigenvalues of -A^T y, block by
+    block; |v - P(v)| loses it to cancellation when v is large (here
+    |A^T y| ~ 1e9 and it read 1.4e-6)."""
+    sc = replace(sample_scenario(0, 4, 3, 1e4, 1e-5, 1.0, 2.0), uncertainty=FddUncertainty(0.3))
+    prog = build_robust_sdp(sc)[0]
+    out = solve(prog)
+    assert out.status is Status.PRIMAL_INFEASIBLE
+    # The solver's own product with A^T, its blocks split here.
+    v = -_Workspace(prog).a_tdot(out.y)
+    neg, off = [], 0
+    for k in prog.cones:
+        seg = v[off : off + k.dim]
+        off += k.dim
+        if isinstance(k, Psd):
+            mat = np.zeros((k.order, k.order))
+            mat[np.triu_indices(k.order)] = seg / svec(np.ones((k.order, k.order)))
+            seg = np.linalg.eigvalsh(mat + np.triu(mat, 1).T)
+        neg.append(np.minimum(seg, 0.0))
+    want = np.sqrt(sum(float(np.sum(part**2)) for part in neg))
+    assert out.cert_res == pytest.approx(want, rel=1e-12)
+    assert out.cert_res <= 1e-7
 
 
 @settings(max_examples=25, deadline=None)
