@@ -138,6 +138,16 @@ def _uncertainty_from_node(node, n: int, k: int):
     raise ScenarioError(f"unknown uncertainty type {kind!r}")
 
 
+def _integral(value) -> bool:
+    """Whether a parsed JSON value is an integral number.
+
+    JSON true reads as the int 1, int() truncates 2.7 and parses "3", so
+    only non-bool numbers with v % 1 == 0 pass (v % 1 is NaN for inf and
+    NaN).
+    """
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and not value % 1
+
+
 def scenario_from_mapping(data) -> ChannelScenario:
     """Build and validate a ChannelScenario from parsed JSON."""
     if not isinstance(data, dict):
@@ -145,16 +155,15 @@ def scenario_from_mapping(data) -> ChannelScenario:
     missing = {"n", "k", "noise_power", "rate_targets", "uncertainty", "channels"} - set(data)
     if missing:
         raise ScenarioError(f"scenario file missing keys: {sorted(missing)}")
-    dims = (data["n"], data["k"])
-    # JSON true reads as the int 1 and int() truncates 2.7, so take integral
-    # numbers only (v % 1 is nonzero or NaN otherwise, NaN for inf too).
-    if any(isinstance(v, bool) or not isinstance(v, (int, float)) or v % 1 for v in dims):
+    if not (_integral(data["n"]) and _integral(data["k"])):
         raise ScenarioError("n and k must be integers")
-    n, k = map(int, dims)
+    n, k = int(data["n"]), int(data["k"])
     if max(n, k) > MAX_DIMENSION:
         raise ScenarioError(f"n and k must be at most {MAX_DIMENSION}")
     chan = data["channels"]
     if isinstance(chan, dict) and "seed" in chan:
+        if not _integral(chan["seed"]):
+            raise ScenarioError("channels seed must be an integer")
         try:
             rho = float(chan.get("rho", 1.0))
             presumed = sample_scenario(int(chan["seed"]), n, k, rho, 1.0, 1.0, 1.0).presumed

@@ -39,7 +39,7 @@ from .hermitian import (
 
 # Positive-definiteness floor for ellipsoid shape matrices.
 ELLIPSOID_MIN_EIG = 1e-10
-# Evaluation-point cap for the sampled worst-case lower bounds.
+# Random-corner cap for the box's sampled worst-case lower bound.
 WORST_CASE_SAMPLE_CAP = 1 << 16
 
 
@@ -543,31 +543,6 @@ def _ball_samples(rng: np.random.Generator, count: int, dim: int, radius: float)
     return z * radial[:, None]
 
 
-def _fdd_samples(rng: np.random.Generator, count: int, presumed: np.ndarray, delta: float) -> np.ndarray:
-    """Channels with the presumed norm within relative distance delta.
-
-    Writes h = R (alpha hdir + beta d) with |alpha|^2 + beta^2 = 1 and d a
-    random unit vector orthogonal to the presumed direction; membership in
-    the feedback set is exactly Re(alpha) >= 1 - delta^2 / 2.
-    """
-    n = presumed.size
-    nrm = float(np.linalg.norm(presumed))
-    hdir = presumed / nrm
-    re_lo = max(-1.0, 1.0 - 0.5 * delta**2)
-    if n == 1:
-        phi = rng.uniform(-1.0, 1.0, count) * np.arccos(re_lo)
-        return nrm * np.exp(1j * phi)[:, None] * hdir[None, :]
-    re = rng.uniform(re_lo, 1.0, count)
-    im_cap = np.sqrt(np.maximum(1.0 - re**2, 0.0))
-    im = rng.uniform(-1.0, 1.0, count) * im_cap
-    alpha = re + 1j * im
-    beta = np.sqrt(np.maximum(1.0 - np.abs(alpha) ** 2, 0.0))
-    d = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-    d -= (d @ hdir.conj())[:, None] * hdir[None, :]
-    d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)
-    return nrm * (alpha[:, None] * hdir[None, :] + beta[:, None] * d)
-
-
 _BOX_PHASES = np.array([1, 1j, -1, -1j])
 
 
@@ -628,6 +603,42 @@ def _ball_radius(scenario: ChannelScenario) -> np.ndarray:
     return model.direction_error * np.linalg.norm(scenario.presumed, axis=0)
 
 
+def _fdd_worst(amat: np.ndarray, hdir: np.ndarray, delta: float) -> float:
+    """Maximum of u^H amat u over unit vectors u with Re(hdir^H u) >= c,
+    c = 1 - delta^2 / 2: the feedback set of a unit-norm channel.
+
+    The quadratic is unchanged by u -> e^{j theta} u, so the maximum is also
+    the one over |hdir^H u| >= c, two homogeneous quadratics on the unit
+    sphere. The complex S-lemma with one constraint is tight (Polik and
+    Terlaky 2007; Huang and Zhang 2007), so for c > 0 the value is
+
+        min over t >= 0 of lam_max(amat + t (hdir hdir^H - c^2 I)),
+
+    and lam_max(amat) otherwise. The minimized function is convex with
+    slope |hdir^H v|^2 - c^2 at the top eigenvector v, and the slope is
+    nonnegative at t_hi = (lam_max(amat) - hdir^H amat hdir) / (1 - c^2).
+    [0, t_hi] is halved on the sign of the slope, unless the slope is
+    already nonnegative at t = 0, where lam_max(amat) is attained in the
+    set. Each lam_max seen bounds the maximum from above (weak duality), and
+    the smallest one is returned.
+    """
+    lam, vec = np.linalg.eigh(amat)
+    best, c2 = lam[-1], (1.0 - 0.5 * delta**2) ** 2
+    if delta**2 >= 2.0 or abs(np.vdot(hdir, vec[:, -1])) ** 2 >= c2:
+        return float(best)
+    shift = np.outer(hdir, hdir.conj()) - c2 * np.eye(hdir.size)
+    # 1 - c^2 without cancellation at small delta.
+    lo, hi = 0.0, (lam[-1] - np.vdot(hdir, amat @ hdir).real) / (delta**2 * (1.0 - 0.25 * delta**2))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        lam, vec = np.linalg.eigh(amat + mid * shift)
+        best = min(best, lam[-1])
+        lo, hi = (lo, mid) if abs(np.vdot(hdir, vec[:, -1])) ** 2 > c2 else (mid, hi)
+    return float(best)
+
+
 def worst_case_margin(design, scenario: ChannelScenario, user: int):
     """Worst-case rate-constraint value for one user.
 
@@ -637,16 +648,17 @@ def worst_case_margin(design, scenario: ChannelScenario, user: int):
 
     so a nonpositive result means the robust rate constraint holds. The
     maximum is exact for ball and ellipsoid sets (trust-region subproblem,
-    after whitening for the ellipsoid). The feedback and box sets have no
-    tractable exact oracle here; for those a (lower, upper) bracket is
-    returned instead, the lower bound from deterministic sampling and the
-    upper bound from the circumscribed ball. For the box with N <= 8 the
-    lower bound is the exact maximum over all 4^N corners (every entry
-    hbar_j + w {1, j, -1, -j}), found from two half-grids, and over the
-    phase-aligned, random and zero points; for larger N,
-    WORST_CASE_SAMPLE_CAP random corners take the place of the full set.
-    design may be a DesignSolution or a stacked (K, N, N) array of
-    covariances.
+    after whitening for the ellipsoid). It is exact for the feedback set
+    too, from the one-constraint complex S-lemma on the sphere of the
+    presumed norm; that value is returned as both ends of a (lower, upper)
+    pair. The box has no tractable exact oracle here, so it gets a bracket:
+    the upper end from the circumscribed ball, the lower end from
+    deterministic sampling. For N <= 8 the lower end is the exact maximum
+    over all 4^N corners (every entry hbar_j + w {1, j, -1, -j}), found from
+    two half-grids, and over the phase-aligned, random and zero points; for
+    larger N, WORST_CASE_SAMPLE_CAP random corners take the place of the
+    full set. design may be a DesignSolution or a stacked (K, N, N) array
+    of covariances.
     """
     w = design.W if isinstance(design, DesignSolution) else np.asarray(design, dtype=complex)
     n, k = scenario.n_antennas, scenario.n_users
@@ -657,30 +669,28 @@ def worst_case_margin(design, scenario: ChannelScenario, user: int):
     gam = scenario.gamma
     amat = hermitian_part(w.sum(axis=0) - w[user] - w[user] / gam[user])
     hb = scenario.presumed[:, user]
+    model = scenario.uncertainty
+    if isinstance(model, FddUncertainty):
+        # On the sphere ||h|| = ||hbar||: h^H A h = u^H (||hbar||^2 A) u, ||u|| = 1.
+        worst = _fdd_worst(np.vdot(hb, hb).real * amat, hb / np.linalg.norm(hb), model.direction_error)
+        value = float(scenario.noise_power[user] + worst)
+        return value, value
     lin = amat @ hb
     const = float(scenario.noise_power[user] + np.vdot(hb, amat @ hb).real)
-    model = scenario.uncertainty
 
     if isinstance(model, EllipsoidUncertainty):
         root = _psd_sqrt(model.shape[user])
         val, _ = trs_maximize(TrsInstance(root @ amat @ root, root @ lin, 1.0))
         return const + val
-    # Exact on the sphere; on the other sets the circumscribed ball's value
-    # is the upper end of the bracket.
+    # Exact on the sphere; on the box the circumscribed ball's value is the
+    # upper end of the bracket.
     val, _ = trs_maximize(TrsInstance(amat, lin, _ball_radius(scenario)[user]))
     if isinstance(model, SphereUncertainty):
         return const + val
-
-    def evaluate(chans: np.ndarray) -> float:
-        quad = ((chans.conj() @ amat) * chans).sum(axis=1).real
-        return float(np.max(quad) + scenario.noise_power[user])
-
-    rng = np.random.default_rng(0)
-    if isinstance(model, FddUncertainty):
-        chans = _fdd_samples(rng, 4096, hb, model.direction_error)
-        return max(evaluate(chans), evaluate(hb[None, :])), const + val
     width = model.halfwidth[user]
-    lower = evaluate(_box_samples(rng, hb, width, lin))
+    chans = _box_samples(np.random.default_rng(0), hb, width, lin)
+    quad = ((chans.conj() @ amat) * chans).sum(axis=1).real
+    lower = float(np.max(quad) + scenario.noise_power[user])
     if 4**n <= WORST_CASE_SAMPLE_CAP:
         lower = max(lower, const + _box_corner_max(amat, lin, width))
     return lower, const + val

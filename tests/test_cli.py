@@ -127,16 +127,19 @@ class TestScenarioParsing:
         malformed.append((mapping, "noise_power"))
         malformed.append((sampled_mapping(n=3, k=1) | {"channels": {"seed": "abc"}}, "seed"))
         malformed.append((sampled_mapping(n=3, k=1) | {"channels": {"seed": 1, "rho": -1}}, "rho"))
-        # int() would read these as n = 2 and k = 1, and the solve would succeed.
+        # int() would read these as n = 2 and k = 1, or as channel seeds 2, 1
+        # and 3, and the solve would succeed.
         fractional_n = sampled_mapping(n=3, k=1) | {"n": 2.7}
         boolean_k = sampled_mapping(n=3, k=1) | {"k": True}
-        malformed += [(fractional_n, "n and k"), (boolean_k, "n and k")]
-        for mapping, match in malformed:
+        seeds = [sampled_mapping(n=3, k=1) | {"channels": {"seed": v}} for v in (2.7, True, "3")]
+        rejected = [(fractional_n, "n and k must be integers"), (boolean_k, "n and k must be integers")]
+        rejected += [(mapping, "channels seed must be an integer") for mapping in seeds]
+        for mapping, match in malformed + rejected:
             with pytest.raises(cli.ScenarioError, match=match):
                 cli.scenario_from_mapping(mapping)
-        for mapping in (fractional_n, boolean_k):
+        for mapping, message in rejected:
             assert cli.main(["solve", "--scenario", write_scenario(tmp_path, mapping)]) == 3
-            assert "n and k must be integers" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
         path = write_scenario(tmp_path, malformed[0][0])
         assert cli.main(["certify", "--scenario", path]) == 3
         assert "direction_error" in capsys.readouterr().err
@@ -160,6 +163,16 @@ class TestSolveCommand:
         assert report["numerical_ranks"] == [1]
         assert report["worst_case_margins"][0] <= 1e-6
         assert report["solver"]["status"] == "Optimal"
+
+    def test_fdd_margins_are_exact_pairs(self, tmp_path):
+        mapping = sampled_mapping() | {"uncertainty": {"type": "fdd", "parameters": {"direction_error": 0.3}}}
+        out = tmp_path / "report.json"
+        assert cli.main(["solve", "--scenario", write_scenario(tmp_path, mapping), "--out", str(out)]) == 0
+        margins = json.loads(out.read_text())["worst_case_margins"]
+        assert len(margins) == 3
+        for entry, sigma2 in zip(margins, mapping["noise_power"]):
+            assert set(entry) == {"lower", "upper"}
+            assert entry["lower"] == entry["upper"] <= 1e-6 * sigma2
 
     def test_report_round_trips_losslessly(self, tmp_path):
         path = write_scenario(tmp_path, single_user_mapping())

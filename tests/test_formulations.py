@@ -24,7 +24,6 @@ from robust_miso.formulations import (
     _ball_radius,
     _box_corner_max,
     _box_samples,
-    _fdd_samples,
     worst_case_margin,
 )
 from robust_miso.harness import sample_scenario
@@ -48,8 +47,9 @@ def solve_robust(scenario):
 
 
 def assert_solution_brackets(scenario):
-    """Solve a bracketed-margin (fdd or box) scenario; every user's sampled
-    lower bound must be nonpositive and below the circumscribed-ball bound."""
+    """Solve an fdd or box scenario; every user's lower end must be
+    nonpositive and no greater than the upper end. The fdd ends are both the
+    exact worst case, so the upper end must be nonpositive too."""
     outcome, index = solve_robust(scenario)
     assert outcome.status is conic.Status.OPTIMAL, outcome.message
     sol = extract_solution(index, outcome)
@@ -57,6 +57,8 @@ def assert_solution_brackets(scenario):
         lower, upper = worst_case_margin(sol, scenario, i)
         assert lower <= 1e-6
         assert lower <= upper + 1e-12
+        if isinstance(scenario.uncertainty, FddUncertainty):
+            assert upper <= 1e-6 * scenario.noise_power[i]
 
 
 def random_hermitian(rng, n):
@@ -632,6 +634,82 @@ class TestMuMaxPair:
             build_mu_max_pair(chans, [1.0], user=1)
 
 
+def margin_matrix(w, gamma, user):
+    """Hermitian A of user's constraint value sigma^2 + h^H A h."""
+    amat = w.sum(axis=0) - w[user] - w[user] / gamma[user]
+    return 0.5 * (amat + amat.conj().T)
+
+
+def fdd_witness(amat, hb, delta):
+    """A member h of the feedback set around hb whose value h^H amat h is the
+    S-lemma bound min over t >= 0 of ||hb||^2 lam_max(amat + t B),
+    B = hdir hdir^H - c^2 I, c = 1 - delta^2 / 2, for 0 < c < 1.
+
+    The top eigenvectors at both ends of the final bracket on t are
+    phase-aligned on hdir and mixed, u = cos(a) v_lo + sin(a) v_hi, with the
+    angle a bisected until |hdir^H u| = c ||u||; h is R u / ||u|| rotated so
+    that hdir^H h > 0, which puts it on the set's boundary.
+    """
+    nrm = np.linalg.norm(hb)
+    hdir, c = hb / nrm, 1.0 - 0.5 * delta**2
+    shift = np.outer(hdir, hdir.conj()) - c**2 * np.eye(hb.size)
+
+    def top(t):
+        v = np.linalg.eigh(amat + t * shift)[1][:, -1]
+        p = np.vdot(hdir, v)
+        return v * (np.conj(p) / abs(p) if abs(p) > 0.0 else 1.0)
+
+    def slope(u):
+        return abs(np.vdot(hdir, u)) ** 2 - c**2 * np.vdot(u, u).real
+
+    u = top(0.0)
+    if slope(u) < 0.0:
+        lo, hi = 0.0, 1.0
+        while slope(top(hi)) < 0.0:
+            lo, hi = hi, 2.0 * hi
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if slope(top(mid)) >= 0.0 else (mid, hi)
+        v_lo, v_hi = top(lo), top(hi)
+        a_lo, a_hi = 0.0, 0.5 * np.pi
+        while a_lo < 0.5 * (a_lo + a_hi) < a_hi:
+            mid = 0.5 * (a_lo + a_hi)
+            a_lo, a_hi = (a_lo, mid) if slope(np.cos(mid) * v_lo + np.sin(mid) * v_hi) >= 0.0 else (mid, a_hi)
+        u = np.cos(a_lo) * v_lo + np.sin(a_lo) * v_hi
+    p = np.vdot(hdir, u)
+    return nrm * u / np.linalg.norm(u) * np.conj(p) / abs(p)
+
+
+def fdd_members(rng, count, hb, delta):
+    """Random members h = R (alpha hdir + beta d) of the feedback set around
+    hb: |alpha|^2 + beta^2 = 1, Re(alpha) >= 1 - delta^2 / 2, d a unit vector
+    orthogonal to hdir."""
+    nrm = np.linalg.norm(hb)
+    hdir = hb / nrm
+    re = rng.uniform(max(-1.0, 1.0 - 0.5 * delta**2), 1.0, count)
+    alpha = re + 1j * rng.uniform(-1.0, 1.0, count) * np.sqrt(1.0 - re**2)
+    beta = np.sqrt(np.maximum(1.0 - np.abs(alpha) ** 2, 0.0))
+    d = rng.standard_normal((count, hb.size)) + 1j * rng.standard_normal((count, hb.size))
+    d -= (d @ hdir.conj())[:, None] * hdir[None, :]
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return nrm * (alpha[:, None] * hdir[None, :] + beta[:, None] * d)
+
+
+def assert_fdd_exact(w, sc, user):
+    """The fdd margin's ends are equal, fdd_witness is a member to 1e-12,
+    and its value matches the ends to 1e-12 of sigma^2 + R^2 ||A||."""
+    lower, upper = worst_case_margin(w, sc, user)
+    assert lower == upper
+    amat, hb = margin_matrix(w, sc.gamma, user), sc.presumed[:, user]
+    nrm, noise = np.linalg.norm(hb), sc.noise_power[user]
+    h = fdd_witness(amat, hb, sc.uncertainty.direction_error)
+    assert abs(np.linalg.norm(h) - nrm) <= 1e-12 * nrm
+    assert np.linalg.norm(h - hb) <= (sc.uncertainty.direction_error + 1e-12) * nrm
+    scale = noise + nrm**2 * np.linalg.norm(amat, 2)
+    assert abs(noise + np.vdot(h, amat @ h).real - upper) <= 1e-12 * scale
+    return upper
+
+
 class TestWorstCaseMargin:
     def test_zero_design_gives_noise_power(self):
         rng = np.random.default_rng(47)
@@ -683,7 +761,7 @@ class TestWorstCaseMargin:
     def test_ball_radius_reaches_farthest_member(self):
         """_ball_radius is each user's largest admissible deviation: one
         member of the error set is that far from the presumed channel, and
-        the margin oracle's samples are no farther."""
+        the box oracle's samples are no farther."""
         rng = np.random.default_rng(61)
         hb = random_channels(rng, 3, 2)
         q, _ = np.linalg.qr(random_channels(rng, 3, 3))
@@ -706,7 +784,7 @@ class TestWorstCaseMargin:
                 lambda h: h + 0.1j * np.ones(3),
                 lambda h: _box_samples(rng, h, 0.1, h),
             ),
-            (FddUncertainty(delta), fdd_far, lambda h: _fdd_samples(rng, 256, h, delta)),
+            (FddUncertainty(delta), fdd_far, None),
         ]
         for model, far, samples in cases:
             sc = ChannelScenario(hb, [0.1] * 2, [1.0] * 2, model)
@@ -777,11 +855,7 @@ class TestWorstCaseMargin:
             assert got[0] == pytest.approx(lower, rel=1e-12)
             assert got[1] == pytest.approx(upper, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "n, k, model",
-        [(16, 2, BoxUncertainty([0.05, 0.1])), (4, 3, FddUncertainty(0.3))],
-        ids=["box-16", "fdd-4x3"],
-    )
+    @pytest.mark.parametrize("n, k, model", [(16, 2, BoxUncertainty([0.05, 0.1]))], ids=["box-16"])
     def test_sampled_lower_bracket_matches_einsum(self, n, k, model):
         """The sampled lower end equals the maximum over the same sample set
         evaluated by the three-operand einsum, channel by channel."""
@@ -794,15 +868,88 @@ class TestWorstCaseMargin:
             amat = w.sum(axis=0) - w[user] - w[user] / sc.gamma[user]
             amat = 0.5 * (amat + amat.conj().T)
             hb = sc.presumed[:, user]
-            draws = np.random.default_rng(0)
-            if isinstance(model, BoxUncertainty):
-                chans = _box_samples(draws, hb, model.halfwidth[user], amat @ hb)
-            else:
-                chans = _fdd_samples(draws, 4096, hb, model.direction_error)
-                chans = np.concatenate([chans, hb[None, :]])
+            chans = _box_samples(np.random.default_rng(0), hb, model.halfwidth[user], amat @ hb)
             want = noise + np.einsum("sn,nm,sm->s", chans.conj(), amat, chans).real.max()
             lower, _ = worst_case_margin(w, sc, user)
             assert lower == pytest.approx(want, abs=1e-12 * noise)
+
+    @pytest.mark.parametrize("delta", [0.1, 0.3, 0.9, 1.4])
+    def test_fdd_aligned_single_user_closed_form(self, delta):
+        # Every member has |hdir^H h| >= c R, with equality on the boundary,
+        # so the worst case of -(p / gamma) |hdir^H h|^2 is -(p / gamma) c^2 R^2.
+        hb = np.array([[1.0 + 2.0j], [-0.5j], [0.3]])
+        power, noise, rate = 0.7, 0.1, 1.3
+        sc = ChannelScenario(hb, [noise], [rate], FddUncertainty(delta))
+        what = hb[:, 0] / np.linalg.norm(hb)
+        w = np.stack([power * np.outer(what, what.conj())])
+        c = 1.0 - 0.5 * delta**2
+        expect = noise - power * c**2 * np.vdot(hb, hb).real / sc.gamma[0]
+        lower, upper = worst_case_margin(w, sc, 0)
+        assert lower == upper
+        assert upper == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [1.5, 2.5])
+    def test_fdd_wide_set_is_whole_sphere_maximum(self, delta):
+        # c = 1 - delta^2 / 2 <= 0: the phase closure of the set is the whole
+        # sphere of radius ||hbar||. In the second design user 0's top
+        # eigenvector is orthogonal to hbar_0, outside |hdir^H u| >= |c|.
+        rng = np.random.default_rng(43)
+        sc = ChannelScenario(random_channels(rng, 3, 2), [0.1] * 2, [1.0] * 2, FddUncertainty(delta))
+        g = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        off = np.cross(sc.presumed[:, 0].conj(), sc.presumed[:, 1].conj())
+        hdir = sc.presumed[:, 0] / np.linalg.norm(sc.presumed[:, 0])
+        orthogonal = np.stack([np.outer(hdir, hdir.conj()), np.outer(off, off.conj())])
+        for w, user in itertools.product((0.05 * np.einsum("kij,klj->kil", g, g.conj()), orthogonal), range(2)):
+            amat = margin_matrix(w, sc.gamma, user)
+            nrm2 = np.vdot(sc.presumed[:, user], sc.presumed[:, user]).real
+            expect = 0.1 + nrm2 * np.linalg.eigvalsh(amat)[-1]
+            lower, upper = worst_case_margin(w, sc, user)
+            assert lower == upper
+            assert upper == pytest.approx(expect, rel=1e-12)
+
+    def test_fdd_edge_cases(self):
+        # N = 1: every member is e^{j phi} hbar, so the value is the presumed one.
+        sc = ChannelScenario(np.array([[1.5 - 0.5j, 0.2j]]), [0.1] * 2, [1.0] * 2, FddUncertainty(0.3))
+        w = np.array([0.4, 0.9]).reshape(2, 1, 1).astype(complex)
+        for user in range(2):
+            amat = margin_matrix(w, sc.gamma, user)[0, 0].real
+            expect = 0.1 + abs(sc.presumed[0, user]) ** 2 * amat
+            assert worst_case_margin(w, sc, user) == pytest.approx((expect, expect), rel=1e-12)
+        rng = np.random.default_rng(45)
+        sc = ChannelScenario(random_channels(rng, 4, 2), [0.1] * 2, [1.0] * 2, FddUncertainty(0.3))
+        assert worst_case_margin(np.zeros((2, 4, 4), dtype=complex), sc, 1) == (0.1, 0.1)
+
+    def test_fdd_witness_attains_value_on_designs(self):
+        """Seeded 4x3 designs (seeds 0-5, delta 0.1, 0.3 and 0.6): every
+        OPTIMAL design and the same design times 0.9, 72 margins in all."""
+        checked = 0
+        for seed, delta in itertools.product(range(6), (0.1, 0.3, 0.6)):
+            sc = replace(sample_scenario(seed, 4, 3, 1.0, 0.1, 0.1, 1.0), uncertainty=FddUncertainty(delta))
+            outcome, index = solve_robust(sc)
+            if outcome.status is not conic.Status.OPTIMAL:
+                continue
+            w = extract_solution(index, outcome).W
+            for scale, user in itertools.product((1.0, 0.9), range(3)):
+                value = assert_fdd_exact(scale * w, sc, user)
+                if scale == 1.0:
+                    assert value <= 1e-6 * sc.noise_power[user]
+                checked += 1
+        assert checked == 72
+
+    @pytest.mark.parametrize("n, k, delta", [(2, 2, 0.1), (3, 3, 0.3), (5, 2, 0.6), (4, 3, 1.0), (6, 3, 1.3)])
+    def test_fdd_witness_attains_value_on_random_designs(self, n, k, delta):
+        """The witness attains the value, and no sampled member exceeds it."""
+        rng = np.random.default_rng(100 + n)
+        sc = ChannelScenario(random_channels(rng, n, k), [0.1] * k, [1.0] * k, FddUncertainty(delta))
+        g = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        w = 0.05 * np.einsum("kij,klj->kil", g, g.conj())
+        for user in range(k):
+            value = assert_fdd_exact(w, sc, user)
+            amat, hb = margin_matrix(w, sc.gamma, user), sc.presumed[:, user]
+            chans = fdd_members(rng, 20_000, hb, delta)
+            assert np.max(np.linalg.norm(chans - hb, axis=1)) <= delta * np.linalg.norm(hb) * (1 + 1e-12)
+            sampled = 0.1 + np.einsum("sn,nm,sm->s", chans.conj(), amat, chans).real.max()
+            assert sampled <= value + 1e-12 * (0.1 + np.vdot(hb, hb).real * np.linalg.norm(amat, 2))
 
     def test_rejects_bad_user(self):
         rng = np.random.default_rng(61)
