@@ -23,6 +23,7 @@ import dataclasses
 import io
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -212,11 +213,21 @@ def _jsonable(value):
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Writes text to path through a temp file and a rename. The file gets
+    the mode of the file it replaces, or that of a plain open (0666 less
+    the umask): mkstemp creates its file 0600, and the rename keeps that."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

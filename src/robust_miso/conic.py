@@ -44,13 +44,16 @@ the upper triangles. The Schur complement is factored and solved by LAPACK
 potrf and potrs, called directly.
 
 The large per-iteration arrays are allocated once per solve and overwritten
-every iteration: G's full matrix, the svec stores of the narrow parts, the
-Schur complement and a Fortran-ordered buffer that potrf factors in place
-(the Cholesky jitter adds to its diagonal). Each PSD part forms its
-congruences R^T A_b R over chunks of its support rows, so its two scratch
-stacks hold about _CHUNK doubles and stay in cache; the chunk views are
-built with the workspace. Every matrix product is the same BLAS call as on
-the whole stack, so the chunking does not change a bit of G.
+every iteration: G's full matrix, the svec stores and block squares of the
+narrow parts, and one m x m Schur buffer that gram writes and potrf factors
+in place as its Fortran-ordered transpose, the same matrix since the
+complement is exactly symmetric. A retry after a failed factorization forms
+the buffer again with gram, to the same bits, and adds the jitter. G's full
+matrix is Fortran-ordered unless its columns are one run of A, as numpy
+gathers them; the rounding of G's products depends on it. Each PSD part
+forms its congruences R^T A_b R over row chunks of about _CHUNK doubles, so
+its two scratch stacks stay in cache; every product is the same BLAS call
+as on the whole stack, so the chunking does not change a bit of G.
 
 Failure policy: the iteration has one handler for numerical breakdown. Each
 predictor-corrector step runs inside it, and every breakdown in the step
@@ -365,9 +368,9 @@ class _Workspace:
     joins the full matrix too: the full product is symmetric, so there it
     costs less than the square.
 
-    g, schur and fac hold G, the Schur complement and its Cholesky factor
-    for every iteration of one solve; g_chunks holds the views that
-    _Scaling.scaled_gram writes G through.
+    a_mats holds A's PSD blocks as matrices on their support rows; g and
+    schur hold G and the Schur complement, then its factor, for every
+    iteration; g_chunks holds the views that scaled_gram writes G through.
     """
 
     def __init__(self, prog: ConicProgram):
@@ -379,9 +382,8 @@ class _Workspace:
         m = a.shape[0]
         bounds = np.cumsum([0] + [k.dim for k in prog.cones])
         ranges = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        mask = a != 0
         # touched[i, r]: cone i has a nonzero in row r of A.
-        touched = np.logical_or.reduceat(mask, bounds[:-1], axis=1).T
+        touched = np.logical_or.reduceat(a != 0, bounds[:-1], axis=1).T
         nn = [i for i, k in enumerate(prog.cones) if isinstance(k, NonNeg)]
         blocks = []
         if nn:
@@ -408,43 +410,39 @@ class _Workspace:
             stop = part.full.stop
         runs = [p.cols.ravel() for p in full]
         self.full_cols = _index(np.concatenate(runs) if runs else np.zeros(0, dtype=int))
-        narrow = {
-            p: a[p.rows[:, :, None], p.cols[:, None, :]] for p in self.parts if p.rows is not None
+        # A's (q, size, d) values per part; a view for a full part on one run.
+        a_vals = {
+            p: a[:, p.col_index].reshape(m, *p.cols.shape).transpose(1, 0, 2) if p.rows is None
+            else a[p.rows[:, :, None], p.cols[:, None, :]]
+            for p in self.parts
         }
-        self.a = _Patterned(self.full_cols, a[:, self.full_cols], narrow, prog.n)
-        # Products with A itself read only its nonzeros, which the full
-        # matrix keeps alongside zeros, unless the full matrix is all of A.
-        self.a_dot, self.a_tdot = self.a.dot, self.a.tdot
-        if not self.a.whole:
-            # Row-major, as np.nonzero(a) lists them.
+        # A's PSD blocks in matrix form on their support rows, fixed across
+        # iterations; a_vals is left with the NonNeg values alone.
+        self.a_mats = {p: smat(a_vals.pop(p), p.order) for p in self.parts if p.order is not None}
+        # G's rounding depends on the memory order of its stores: a narrow PSD
+        # store has the svec axis outermost, the full matrix a[:, full_cols]'s.
+        narrow = {
+            p: np.empty(p.rows.shape + p.cols.shape[1:]) if p.order is None
+            else np.empty(p.cols.shape[1:] + p.rows.shape).transpose(1, 2, 0)
+            for p in self.parts if p.rows is not None
+        }
+        mem_order = "C" if isinstance(self.full_cols, slice) else "F"
+        self.g = _Patterned(self.full_cols, np.empty((m, stop), order=mem_order), narrow, prog.n)
+        self.schur = np.empty((m, m))
+        # Products with A itself read only its nonzeros, unless every block
+        # is full and in x's column order: then they are products with A.
+        self.a_dot, self.a_tdot = a.__matmul__, a.T.__matmul__
+        if not self.g.whole:
+            # Row-major, as np.nonzero lists them; a != 0 is not held through the allocations.
             n = prog.n
-            flat = np.flatnonzero(mask)
+            flat = np.flatnonzero(a != 0)
             rows, cols = divmod(flat, n)
             vals = a.ravel()[flat]
             self.a_dot = lambda u: np.bincount(rows, vals * u[cols], minlength=m)
             self.a_tdot = lambda y: np.bincount(cols, vals * y[rows], minlength=n)
-        # A's PSD blocks in matrix form on their support rows, fixed across iterations.
-        self.a_mats = {
-            p: smat(self.a.values(p), p.order) for p in self.parts if p.order is not None
-        }
+        self.g_chunks = self._chunk_views(a_vals)
 
-        # G = A F, the Schur complement and its Cholesky factor, overwritten
-        # every iteration. A narrow PSD store keeps svec's memory layout, the
-        # svec axis outermost: the rounding of its products depends on it.
-        narrow = {}
-        for p in self.parts:
-            if p.rows is not None:
-                q, size, d = self.a.narrow[p].shape
-                narrow[p] = (
-                    np.empty((q, size, d)) if p.order is None
-                    else np.empty((d, q, size)).transpose(1, 2, 0)
-                )
-        self.g = _Patterned(self.full_cols, np.empty_like(self.a.full), narrow, prog.n)
-        self.schur = np.empty((m, m))
-        self.fac = np.empty((m, m), order="F")
-        self.g_chunks = self._chunk_views()
-
-    def _chunk_views(self) -> dict:
+    def _chunk_views(self, a_vals: dict) -> dict:
         """Per part, the views that scaled_gram writes G through. A NonNeg
         part has one pair (A's values, G's values). A PSD part has one tuple
         per chunk of its support rows: A's matrices, two scratch stacks, the
@@ -460,7 +458,7 @@ class _Workspace:
         for p in self.parts:
             dest = self.g.values(p)
             if p.order is None:
-                views[p] = [(self.a.values(p), dest)]
+                views[p] = [(a_vals[p], dest)]
                 continue
             views[p] = []
             for lo in range(0, dest.shape[1], steps[p]):
@@ -481,9 +479,8 @@ class _Patterned:
 
     full holds the columns of every full-support block side by side, in the
     order of ws.full_cols; narrow maps every other part to its (q, size, d)
-    values on its support rows. The values of A and the scaled Gram G = A F
-    are both kept this way, so G is formed and multiplied only on the pairs
-    that A has.
+    values on its support rows and block_grams to a buffer of their squares.
+    The scaled Gram G = A F is formed and multiplied only on A's pairs.
     """
 
     def __init__(self, full_cols, full: np.ndarray, narrow: dict, n: int):
@@ -491,6 +488,7 @@ class _Patterned:
         self.n = n
         self.full = full
         self.narrow = narrow
+        self.block_grams = {p: np.empty(v.shape[:2] + v.shape[1:2]) for p, v in narrow.items()}
         # Every block is in the full matrix, in x's column order: the
         # products are plain matrix products.
         self.whole = isinstance(full_cols, slice) and full.shape[1] == n
@@ -527,7 +525,8 @@ class _Patterned:
         square added on its support rows."""
         np.matmul(self.full, self.full.T, out=out)
         for part, vals in self.narrow.items():
-            for square, blk in zip(part.squares, np.matmul(vals, vals.transpose(0, 2, 1))):
+            blocks = np.matmul(vals, vals.transpose(0, 2, 1), out=self.block_grams[part])
+            for square, blk in zip(part.squares, blocks):
                 out[square] += blk
         return out
 
@@ -755,13 +754,14 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
             schur = g_mat.gram(out=ws.schur)
             jitter = 0.0
             for attempt in range(4):
-                np.copyto(ws.fac, schur)
-                if jitter:
-                    ws.fac[np.diag_indices(m)] += jitter
-                fac, info = _POTRF(ws.fac, lower=True, clean=False, overwrite_a=True)
+                if attempt:
+                    # potrf left the buffer partly factored; gram forms it again.
+                    trace = np.trace(g_mat.gram(out=schur))
+                    jitter = max(jitter * 100.0, 1e-13 * (1.0 + trace / m))
+                    schur[np.diag_indices(m)] += jitter
+                fac, info = _POTRF(schur.T, lower=True, clean=False, overwrite_a=True)
                 if info == 0:
                     break
-                jitter = max(jitter * 100.0, 1e-13 * (1.0 + np.trace(schur) / m))
             else:
                 raise np.linalg.LinAlgError("Schur factorization failed")
 

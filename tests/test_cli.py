@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -215,6 +217,26 @@ class TestSolveCommand:
         for tol in ("-1", "0", "nan", "inf"):
             assert cli.main(["solve", "--scenario", path, "--tol", tol]) == 3
             assert "--tol" in capsys.readouterr().err
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_report_mode_is_umask_or_kept(self, tmp_path, umask):
+        """A new --out report gets a plain open's mode, 0666 less the umask,
+        and a replaced one keeps its own: the temp file's 0600 must not
+        survive the rename."""
+        path = write_scenario(tmp_path, single_user_mapping())
+        new, kept = tmp_path / "new.json", tmp_path / "kept.json"
+        kept.write_text("{}")
+        kept.chmod(0o640)
+        previous = os.umask(umask)
+        try:
+            for out in (new, kept):
+                assert cli.main(["solve", "--scenario", path, "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert json.loads(kept.read_text())["solver"]["status"] == "Optimal"
 
     def test_no_stray_temp_files(self, tmp_path):
         path = write_scenario(tmp_path, single_user_mapping())
