@@ -43,17 +43,38 @@ entry, divided by its svec scale), and scatters them back with one take of
 the upper triangles. The Schur complement is factored and solved by LAPACK
 potrf and potrs, called directly.
 
+A full-support PSD part whose A columns span r < d of its blocks' d svec
+dimensions is formed on that row space when it pays. Once per solve, B
+(r x d) takes the eigenvectors of sum_b A_b^T A_b above 1e-12 of the
+largest eigenvalue, and the part keeps C_b = A_b B^T, so G_b = C_b M_b with
+M_b = B F_b: r congruences per block instead of m. The part's share of the
+full matrix is C_b T_b^T, r columns instead of d, for the QR M_b^T = Q_b T_b;
+it has G_b's Gram up to rounding, where a Cholesky of M_b M_b^T would square
+M_b's condition number. It pays when the flops saved per iteration,
+_low_rank_gain, reach _LOW_RANK_FLOPS; the gain at r = 0 bounds every
+other, so smaller parts skip the eigh. Against the exact path (robust
+designs, in-process, 1 BLAS thread) the solve took 0.99 of the time at 8x3
+(gain 2e6), 0.85-0.91 at 8x4 (1.9e7), 0.78-0.84 at 8x5 (4.8e7), 0.80 at 8x7
+(1.6e8), 0.85 at 12x4 (9.2e7), 0.88 at 16x4 (2.1e8) and 1.06 at 12x3
+(-3.2e7). The constant sits just above the 8x3 bound of 3.6e7: 4x3, 8x3
+and m = 3 programs keep every column of G, to the bit, and skip the eigh;
+8x4 runs it and stays exact.
+
 The large per-iteration arrays are allocated once per solve and overwritten
 every iteration: G's full matrix, the svec stores and block squares of the
-narrow parts, and one m x m Schur buffer that gram writes and potrf factors
-in place as its Fortran-ordered transpose, the same matrix since the
-complement is exactly symmetric. A retry after a failed factorization forms
-the buffer again with gram, to the same bits, and adds the jitter. G's full
-matrix is Fortran-ordered unless its columns are one run of A, as numpy
-gathers them; the rounding of G's products depends on it. Each PSD part
-forms its congruences R^T A_b R over row chunks of about _CHUNK doubles, so
-its two scratch stacks stay in cache; every product is the same BLAS call
-as on the whole stack, so the chunking does not change a bit of G.
+narrow parts, M of the low-rank parts, and one m x m Schur buffer that
+gram writes and potrf factors in place as its Fortran-ordered transpose,
+the same matrix since the complement is exactly symmetric. A retry after a
+failed factorization forms the buffer again with gram, to the same bits,
+and adds the jitter. G's full matrix is Fortran-ordered unless its columns
+are one run of A, as numpy gathers them, or it holds low-rank columns; the
+rounding of G's products depends on it. A low-rank part keeps C and the r
+matrices of its basis in place of its blocks' m matrices of A: at 8x7,
+2 MB instead of 8 MB, and G's full matrix shrinks from 4.3 to 2 MB. Each
+PSD part forms its congruences R^T A_b R (of its basis matrices, if
+low-rank) over row chunks of about _CHUNK doubles, so its two scratch
+stacks stay in cache; every product is the same BLAS call as on the whole
+stack, so the chunking does not change a bit of G.
 
 Failure policy: the iteration has one handler for numerical breakdown. Each
 predictor-corrector step runs inside it, and every breakdown in the step
@@ -94,6 +115,9 @@ _KKT_REFINE = 2
 _POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 # Doubles per scratch stack (256 KB) in the row-chunked congruence of G.
 _CHUNK = 32768
+# Net flops per iteration (_low_rank_gain) that forming a full PSD part's G
+# on the row space of its A columns must save.
+_LOW_RANK_FLOPS = 4e7
 
 
 class Status(enum.Enum):
@@ -307,6 +331,30 @@ def _index(idx: np.ndarray):
     return flat
 
 
+def _low_rank_gain(m: int, q: int, d: int, r: int) -> float:
+    """Flops per iteration saved by forming G's columns of q full-support PSD
+    blocks of svec length d on a rank-r basis of their rows of A: the Schur
+    product loses q (d - r) of its m^2-flop columns and the congruences
+    m - r of their 4 p^3-flop rows per block, for one QR of a d x r matrix
+    (counted 4 times over: it runs at about a quarter of the flop rate of
+    the Schur product) and one m x r x r product per block."""
+    p = (np.sqrt(8.0 * d + 1.0) - 1.0) / 2.0
+    return q * (m * m * (d - r) + 4.0 * p**3 * (m - r) - (8.0 * d + 2.0 * m) * r * r)
+
+
+def _row_space(vals: np.ndarray) -> np.ndarray | None:
+    """An orthonormal basis (r, d) of the row space of a full PSD part's
+    (q, m, d) values of A when forming G on it pays, else None. The gain at
+    r = 0 bounds every other, so small parts skip the eigh."""
+    q, m, d = vals.shape
+    if _low_rank_gain(m, q, d, 0) < _LOW_RANK_FLOPS:
+        return None
+    lam, vecs = np.linalg.eigh(np.matmul(_t(vals), vals).sum(axis=0))
+    basis = vecs[:, lam > 1e-12 * lam[-1]].T
+    r = len(basis)
+    return basis if r < d and _low_rank_gain(m, q, d, r) >= _LOW_RANK_FLOPS else None
+
+
 class _Part:
     """Cone blocks of one kind and order whose row supports in A have the
     same size: the unit of every batched operation in an iteration.
@@ -314,10 +362,11 @@ class _Part:
     order is the matrix order of PSD blocks, or None for the NonNeg block
     (every NonNeg column, as one block). cols (q, d) holds the blocks'
     columns and rows (q, size) their supports. A part stored in the full
-    matrix has rows None and keeps its values at columns `full` of that
-    matrix. entries (q, p*p) holds the position in an n-vector of every
-    matrix entry of every block and dec their svec divisors, so one take
-    gathers a part; upper and enc are the svec table of its order.
+    matrix has rows None and keeps its values, or a low-rank part its
+    C T^T, at columns `full` of that matrix. entries (q, p*p) holds the
+    position in an n-vector of every matrix entry of every block and dec
+    their svec divisors, so one take gathers a part; upper and enc are the
+    svec table of its order.
     """
 
     def __init__(self, order: int | None, cols: np.ndarray, rows: np.ndarray | None):
@@ -368,9 +417,11 @@ class _Workspace:
     joins the full matrix too: the full product is symmetric, so there it
     costs less than the square.
 
-    a_mats holds A's PSD blocks as matrices on their support rows; g and
-    schur hold G and the Schur complement, then its factor, for every
-    iteration; g_chunks holds the views that scaled_gram writes G through.
+    a_mats holds A's PSD blocks as matrices on their support rows, or for a
+    low-rank part (see _Patterned) the matrices of its basis, which every
+    block shares; g and schur hold G and the Schur complement, then its
+    factor, for every iteration; g_chunks holds the views that scaled_gram
+    writes G through.
     """
 
     def __init__(self, prog: ConicProgram):
@@ -403,13 +454,6 @@ class _Workspace:
             self.layout.append(_Part(order, np.stack([c for c, _ in members]), rows))
         self.parts = [p for p in self.layout if p.rows is None or p.rows.size]
 
-        full = sorted((p for p in self.parts if p.rows is None), key=lambda p: p.cols[0, 0])
-        stop = 0
-        for part in full:
-            part.full = slice(stop, stop + part.cols.size)
-            stop = part.full.stop
-        runs = [p.cols.ravel() for p in full]
-        self.full_cols = _index(np.concatenate(runs) if runs else np.zeros(0, dtype=int))
         # A's (q, size, d) values per part; a view for a full part on one run.
         a_vals = {
             p: a[:, p.col_index].reshape(m, *p.cols.shape).transpose(1, 0, 2) if p.rows is None
@@ -417,17 +461,44 @@ class _Workspace:
             for p in self.parts
         }
         # A's PSD blocks in matrix form on their support rows, fixed across
-        # iterations; a_vals is left with the NonNeg values alone.
-        self.a_mats = {p: smat(a_vals.pop(p), p.order) for p in self.parts if p.order is not None}
+        # iterations; a_vals is left with the NonNeg values alone. A low-rank
+        # part keeps C = A B^T (m, q, r) and the matrices of its basis B.
+        self.a_mats, low_rank = {}, {}
+        for p in [p for p in self.parts if p.order is not None]:
+            basis = _row_space(a_vals[p]) if p.rows is None else None
+            if basis is None:
+                self.a_mats[p] = smat(a_vals.pop(p), p.order)
+                continue
+            vals = a_vals.pop(p)
+            q, r = len(vals), len(basis)
+            c = np.empty((m, q, r))
+            np.matmul(vals, basis.T, out=c.transpose(1, 0, 2))
+            self.a_mats[p] = np.broadcast_to(smat(basis, p.order), (q, r, p.order, p.order))
+            low_rank[p] = (c, np.empty((q, r, basis.shape[1])))
+
+        # Full parts, low-rank ones last: G's columns, then the C T^T columns.
+        full = sorted(
+            (p for p in self.parts if p.rows is None), key=lambda p: (p in low_rank, p.cols[0, 0])
+        )
+        stop = 0
+        for part in full:
+            width = low_rank[part][0][0].size if part in low_rank else part.cols.size
+            part.full = slice(stop, stop + width)
+            stop = part.full.stop
+        runs = [p.cols.ravel() for p in full if p not in low_rank]
+        self.full_cols = _index(np.concatenate(runs) if runs else np.zeros(0, dtype=int))
         # G's rounding depends on the memory order of its stores: a narrow PSD
-        # store has the svec axis outermost, the full matrix a[:, full_cols]'s.
+        # store has the svec axis outermost, the full matrix a[:, full_cols]'s
+        # unless it holds C T^T columns, which matmul writes in C order.
         narrow = {
             p: np.empty(p.rows.shape + p.cols.shape[1:]) if p.order is None
             else np.empty(p.cols.shape[1:] + p.rows.shape).transpose(1, 2, 0)
             for p in self.parts if p.rows is not None
         }
-        mem_order = "C" if isinstance(self.full_cols, slice) else "F"
-        self.g = _Patterned(self.full_cols, np.empty((m, stop), order=mem_order), narrow, prog.n)
+        mem_order = "C" if isinstance(self.full_cols, slice) or low_rank else "F"
+        self.g = _Patterned(
+            self.full_cols, np.empty((m, stop), order=mem_order), narrow, low_rank, prog.n
+        )
         self.schur = np.empty((m, m))
         # Products with A itself read only its nonzeros, unless every block
         # is full and in x's column order: then they are products with A.
@@ -478,33 +549,46 @@ class _Patterned:
     """An m x n matrix that is zero outside A's (row support, block) pattern.
 
     full holds the columns of every full-support block side by side, in the
-    order of ws.full_cols; narrow maps every other part to its (q, size, d)
-    values on its support rows and block_grams to a buffer of their squares.
-    The scaled Gram G = A F is formed and multiplied only on A's pairs.
+    order of ws.full_cols, then those of the low-rank parts; narrow maps every
+    other part to its (q, size, d) values on its support rows and
+    block_grams to a buffer of their squares. A low-rank part has A = C B
+    on an orthonormal basis B of its rows, so its G is C M with M = B F;
+    low_rank maps it to C (m, q, r) and M (q, r, d). Its columns of full
+    hold C T^T for the QR M^T = Q T, whose Gram is G's, C M M^T C^T. The
+    scaled Gram G = A F is formed and multiplied only on A's pairs.
     """
 
-    def __init__(self, full_cols, full: np.ndarray, narrow: dict, n: int):
+    def __init__(self, full_cols, full: np.ndarray, narrow: dict, low_rank: dict, n: int):
         self.full_cols = full_cols
         self.n = n
         self.full = full
         self.narrow = narrow
+        self.low_rank = low_rank
         self.block_grams = {p: np.empty(v.shape[:2] + v.shape[1:2]) for p, v in narrow.items()}
+        # G's own columns of full, ahead of the low-rank parts' C T^T.
+        self.exact = full[:, : full.shape[1] - sum(c[0].size for c, _ in low_rank.values())]
         # Every block is in the full matrix, in x's column order: the
         # products are plain matrix products.
-        self.whole = isinstance(full_cols, slice) and full.shape[1] == n
+        self.whole = isinstance(full_cols, slice) and self.exact.shape[1] == n
         if self.whole:
             self.dot = full.__matmul__
             self.tdot = full.T.__matmul__
 
     def values(self, part: _Part) -> np.ndarray:
-        """(q, size, d) values of one part; a view for full-support parts."""
+        """(q, size, d) values of one part, or M of a low-rank part; a view
+        for the other full-support parts."""
         if part.rows is not None:
             return self.narrow[part]
+        if part in self.low_rank:
+            return self.low_rank[part][1]
         q, d = part.cols.shape
         return self.full[:, part.full].reshape(-1, q, d).transpose(1, 0, 2)
 
     def dot(self, u: np.ndarray) -> np.ndarray:
-        out = self.full @ u[self.full_cols]
+        out = self.exact @ u[self.full_cols]
+        for part, (c, ms) in self.low_rank.items():
+            v = np.matmul(ms, u[part.col_index].reshape(part.cols.shape + (1,)))
+            out += c.reshape(out.size, -1) @ v.ravel()
         for part, vals in self.narrow.items():
             v = np.matmul(vals, u[part.col_index].reshape(part.cols.shape + (1,)))
             # Supports of blocks in one part may share rows; bincount sums them.
@@ -513,7 +597,10 @@ class _Patterned:
 
     def tdot(self, y: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n)
-        out[self.full_cols] = self.full.T @ y
+        out[self.full_cols] = self.exact.T @ y
+        for part, (c, ms) in self.low_rank.items():
+            w = np.matmul((y @ c.reshape(y.size, -1)).reshape(len(ms), 1, -1), ms)
+            out[part.col_index] = w.ravel()
         for part, vals in self.narrow.items():
             w = np.matmul(y[part.row_index].reshape(part.rows.shape[0], 1, -1), vals)
             out[part.col_index] = w.ravel()
@@ -521,8 +608,8 @@ class _Patterned:
 
     def gram(self, out: np.ndarray) -> np.ndarray:
         """This matrix times its transpose, written into the m x m out: one
-        product over the full-support columns, plus each narrow block's
-        square added on its support rows."""
+        product over the full-support and C T^T columns, plus each narrow
+        block's square added on its support rows."""
         np.matmul(self.full, self.full.T, out=out)
         for part, vals in self.narrow.items():
             blocks = np.matmul(vals, vals.transpose(0, 2, 1), out=self.block_grams[part])
@@ -531,8 +618,12 @@ class _Patterned:
         return out
 
     def dense(self) -> np.ndarray:
-        out = np.zeros((self.full.shape[0], self.n))
-        out[:, self.full_cols] = self.full
+        m = self.full.shape[0]
+        out = np.zeros((m, self.n))
+        out[:, self.full_cols] = self.exact
+        for part, (c, ms) in self.low_rank.items():
+            blocks = np.matmul(c.transpose(1, 0, 2), ms)
+            out[:, part.col_index] = blocks.transpose(1, 0, 2).reshape(m, -1)
         for part, vals in self.narrow.items():
             out[part.rows[:, :, None], part.cols[:, None, :]] = vals
         return out
@@ -651,6 +742,12 @@ class _Scaling:
                 # svec of the chunk's congruences: np.take gathers the upper
                 # triangles and the product with enc lands in G.
                 np.multiply(flat.take(part.upper, axis=-1), part.enc, out=dest)
+        for part, (c, ms) in ws.g.low_rank.items():
+            # T^T T = M M^T from the QR of M^T; a Cholesky of M M^T would
+            # square M's condition number.
+            t = np.linalg.qr(_t(ms), mode="r")
+            dest = ws.g.full[:, part.full].reshape(c.shape).transpose(1, 0, 2)
+            np.matmul(c.transpose(1, 0, 2), _t(t), out=dest)
         return ws.g
 
     def step_limit(self, u: np.ndarray, v: np.ndarray) -> float:

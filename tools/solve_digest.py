@@ -9,6 +9,12 @@ every result must leave the two files equal:
 
     PYTHONPATH=src python3 tools/solve_digest.py seeded grid large > digest.txt
 
+A change that alters the bytes on purpose (a different but equally exact
+arithmetic, such as the low-rank W part of the 8x7 designs) compares only
+the first five fields, label to message, which must still be equal:
+
+    cut -d'|' -f1-5 digest.txt
+
 The sets, any of which may be named (seeded and grid when none is):
   seeded  85 programs: 48 robust designs (sphere, ellipsoid, fdd and box at
           2x2, 4x3, 8x3 and 3x4, seeds 0-2), 28 fixed-channel programs
