@@ -44,37 +44,46 @@ the upper triangles. The Schur complement is factored and solved by LAPACK
 potrf and potrs, called directly.
 
 A full-support PSD part whose A columns span r < d of its blocks' d svec
-dimensions is formed on that row space when it pays. Once per solve, B
-(r x d) takes the eigenvectors of sum_b A_b^T A_b above 1e-12 of the
-largest eigenvalue, and the part keeps C_b = A_b B^T, so G_b = C_b M_b with
-M_b = B F_b: r congruences per block instead of m. The part's share of the
-full matrix is C_b T_b^T, r columns instead of d, for the QR M_b^T = Q_b T_b;
-it has G_b's Gram up to rounding, where a Cholesky of M_b M_b^T would square
-M_b's condition number. It pays when the flops saved per iteration,
-_low_rank_gain, reach _LOW_RANK_FLOPS; the gain at r = 0 bounds every
-other, so smaller parts skip the eigh. Against the exact path (robust
-designs, in-process, 1 BLAS thread) the solve took 0.99 of the time at 8x3
-(gain 2e6), 0.85-0.91 at 8x4 (1.9e7), 0.78-0.84 at 8x5 (4.8e7), 0.80 at 8x7
-(1.6e8), 0.85 at 12x4 (9.2e7), 0.88 at 16x4 (2.1e8) and 1.06 at 12x3
-(-3.2e7). The constant sits just above the 8x3 bound of 3.6e7: 4x3, 8x3
-and m = 3 programs keep every column of G, to the bit, and skip the eigh;
-8x4 runs it and stays exact.
+dimensions, and whose rows combine its q blocks in groups, is factored once
+per solve when it pays. B (r x d) takes the eigenvectors of
+sum_j A_j^T A_j above 1e-12 of the largest eigenvalue, so A_j = C_j B with
+C = A B^T, and C factors as C_j[i] = alpha[g, j] chat[i] on every row i of
+a run g of consecutive rows: A = blockdiag(chat_g) (alpha (x) I) B. The
+robust designs have this form, one group per user, because the K
+covariances enter user g's LMI only through the SINR combination
+W_g / gamma_g - sum_{j != g} W_j. Per iteration M_j = B F_j takes r
+congruences instead of m, and the part's share of the Schur complement on
+groups g and h is chat_g X_gh chat_h^T with X_gh = sum_j alpha[g, j]
+alpha[h, j] K_j and K_j = M_j M_j^T: G's columns of the part are never
+formed. K_j is never factored either, which would square M_j's condition
+number. A part pays when the flops saved per iteration, _low_rank_gain,
+reach _LOW_RANK_FLOPS; the gain at r = 0 bounds every other, so smaller
+parts skip the eigh, and a part whose rows do not factor keeps every column
+of G. Against the exact path (robust designs of the four models,
+in-process, 1 BLAS thread, medians of two runs of 4 rounds) the solve took
+0.80-0.98 of the time at 8x3 (gain 2.0e7), 0.83-0.84 at 8x4 (5.2e7),
+0.67-0.72 at 8x5 (1.1e8), 0.59-0.63 at 8x7 (3.0e8), 0.83-0.92 at 12x3
+(1.5e8), 0.64-0.83 at 12x4 (4.4e8) and 0.70-0.72 at 16x4 (2.1e9). The
+constant sits just above the 8x3 bound of 3.6e7: 4x3, 8x3 and m = 3
+programs keep every column of G, to the bit, and skip the eigh; 8x4 and
+larger robust designs are factored.
 
 The large per-iteration arrays are allocated once per solve and overwritten
 every iteration: G's full matrix, the svec stores and block squares of the
-narrow parts, M of the low-rank parts, and one m x m Schur buffer that
-gram writes and potrf factors in place as its Fortran-ordered transpose,
-the same matrix since the complement is exactly symmetric. A retry after a
-failed factorization forms the buffer again with gram, to the same bits,
-and adds the jitter. G's full matrix is Fortran-ordered unless its columns
-are one run of A, as numpy gathers them, or it holds low-rank columns; the
-rounding of G's products depends on it. A low-rank part keeps C and the r
-matrices of its basis in place of its blocks' m matrices of A: at 8x7,
-2 MB instead of 8 MB, and G's full matrix shrinks from 4.3 to 2 MB. Each
-PSD part forms its congruences R^T A_b R (of its basis matrices, if
-low-rank) over row chunks of about _CHUNK doubles, so its two scratch
-stacks stay in cache; every product is the same BLAS call as on the whole
-stack, so the chunking does not change a bit of G.
+narrow parts, M and the Schur-share buffers of the factored parts, and one
+m x m Schur buffer that gram writes and potrf factors in place as its
+Fortran-ordered transpose. potrf reads one triangle: gram writes both, and
+they agree to rounding, not to the bit, where a factored part adds its
+share. A retry after a failed factorization forms the buffer again with
+gram, to the same bits, and adds the jitter. G's full matrix is
+Fortran-ordered unless its columns are one run of A, as numpy gathers them;
+the rounding of G's products depends on it. A factored part keeps chat,
+alpha and the r matrices of its basis in place of its blocks' m matrices of
+A: at 8x7, 0.4 MB instead of 8 MB. Each PSD part forms its congruences
+R^T A_b R (of its basis matrices, if factored) over row chunks of about
+_CHUNK doubles, so its two scratch stacks stay in cache; every product is
+the same BLAS call as on the whole stack, so the chunking does not change a
+bit of G.
 
 Failure policy: the iteration has one handler for numerical breakdown. Each
 predictor-corrector step runs inside it, and every breakdown in the step
@@ -115,8 +124,8 @@ _KKT_REFINE = 2
 _POTRF, _POTRS = sla.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 # Doubles per scratch stack (256 KB) in the row-chunked congruence of G.
 _CHUNK = 32768
-# Net flops per iteration (_low_rank_gain) that forming a full PSD part's G
-# on the row space of its A columns must save.
+# Net flops per iteration (_low_rank_gain) that factoring a full PSD part's A
+# columns must save.
 _LOW_RANK_FLOPS = 4e7
 
 
@@ -331,28 +340,51 @@ def _index(idx: np.ndarray):
     return flat
 
 
-def _low_rank_gain(m: int, q: int, d: int, r: int) -> float:
-    """Flops per iteration saved by forming G's columns of q full-support PSD
-    blocks of svec length d on a rank-r basis of their rows of A: the Schur
-    product loses q (d - r) of its m^2-flop columns and the congruences
-    m - r of their 4 p^3-flop rows per block, for one QR of a d x r matrix
-    (counted 4 times over: it runs at about a quarter of the flop rate of
-    the Schur product) and one m x r x r product per block."""
+def _low_rank_gain(m: int, q: int, d: int, r: int, groups: int = 1) -> float:
+    """Flops per iteration saved by forming the Schur share of q full-support
+    PSD blocks of svec length d from their factored A (see _Factored), on a
+    rank-r basis of their rows and `groups` row groups, instead of from G's
+    columns. The exact path costs the Schur product, m^2 of its flops per
+    column, and m congruences of 4 p^3 flops per block; the factored one r
+    congruences and K_j = M_j M_j^T (2 r^2 d) per block, chat X (2 m groups
+    r^2) and (chat X) chat^T (m^2 r, one triangle)."""
     p = (np.sqrt(8.0 * d + 1.0) - 1.0) / 2.0
-    return q * (m * m * (d - r) + 4.0 * p**3 * (m - r) - (8.0 * d + 2.0 * m) * r * r)
+    exact = q * (m * m * d + 4.0 * p**3 * m)
+    return exact - q * (4.0 * p**3 + 2.0 * r * d) * r - (m + 2.0 * groups * r) * m * r
 
 
-def _row_space(vals: np.ndarray) -> np.ndarray | None:
-    """An orthonormal basis (r, d) of the row space of a full PSD part's
-    (q, m, d) values of A when forming G on it pays, else None. The gain at
-    r = 0 bounds every other, so small parts skip the eigh."""
+def _low_rank(vals: np.ndarray, order: int):
+    """For a full PSD part's (q, m, d) values of A, when factoring them pays
+    (see _Factored): the matrices (q, r, order, order) of an orthonormal
+    basis B (r, d) of their row space, and the factored form of C = A B^T;
+    else None. The gain at r = 0 bounds every other, so small parts skip the
+    eigh, and one row group bounds any number of them, so a part that cannot
+    pay skips the factoring."""
     q, m, d = vals.shape
     if _low_rank_gain(m, q, d, 0) < _LOW_RANK_FLOPS:
         return None
     lam, vecs = np.linalg.eigh(np.matmul(_t(vals), vals).sum(axis=0))
     basis = vecs[:, lam > 1e-12 * lam[-1]].T
     r = len(basis)
-    return basis if r < d and _low_rank_gain(m, q, d, r) >= _LOW_RANK_FLOPS else None
+    if r == d or _low_rank_gain(m, q, d, r) < _LOW_RANK_FLOPS:
+        return None
+    # C[i, j] = alpha[g, j] chat[i] with alpha[g] of unit norm, g running
+    # over the runs of rows whose coefficients across the blocks are
+    # parallel; every row must match its factors to 1e-12 of its norm.
+    c = np.matmul(vals, basis.T).transpose(1, 0, 2)
+    grams = np.matmul(c, _t(c))
+    lead = np.linalg.eigh(grams)[1][..., -1]
+    parallel = np.abs(np.sum(lead[1:] * lead[:-1], axis=1)) >= 1.0 - 1e-12
+    group = np.cumsum(np.append(0, ~parallel))
+    starts = np.flatnonzero(np.append(True, ~parallel))
+    alpha = np.linalg.eigh(np.add.reduceat(grams, starts))[1][..., -1]
+    chat = np.matmul(alpha[group][:, None], c)[:, 0]
+    resid = c - alpha[group][:, :, None] * chat[:, None]
+    off = np.einsum("ijk,ijk->i", resid, resid) > 1e-24 * np.einsum("ijk,ijk->i", c, c)
+    if np.any(off) or _low_rank_gain(m, q, d, r, len(starts)) < _LOW_RANK_FLOPS:
+        return None
+    mats = np.broadcast_to(smat(basis, order), (q, r, order, order))
+    return mats, _Factored(chat, alpha, group, starts, d)
 
 
 class _Part:
@@ -362,11 +394,11 @@ class _Part:
     order is the matrix order of PSD blocks, or None for the NonNeg block
     (every NonNeg column, as one block). cols (q, d) holds the blocks'
     columns and rows (q, size) their supports. A part stored in the full
-    matrix has rows None and keeps its values, or a low-rank part its
-    C T^T, at columns `full` of that matrix. entries (q, p*p) holds the
-    position in an n-vector of every matrix entry of every block and dec
-    their svec divisors, so one take gathers a part; upper and enc are the
-    svec table of its order.
+    matrix has rows None and keeps its values at columns `full` of that
+    matrix; a factored part (see _Factored) has rows None and keeps none
+    there. entries (q, p*p) holds the position in an n-vector of every
+    matrix entry of every block and dec their svec divisors, so one take
+    gathers a part; upper and enc are the svec table of its order.
     """
 
     def __init__(self, order: int | None, cols: np.ndarray, rows: np.ndarray | None):
@@ -412,16 +444,15 @@ class _Workspace:
     layout lists them all, NonNeg first, and drives the NT scaling, the step
     lengths and the Newton right-hand sides. parts leaves out the blocks
     with empty support and drives G = A F and its products. Blocks supported
-    on every row share one full matrix; the others are stored on their
-    support rows only. A block whose support square exceeds half of m x m
-    joins the full matrix too: the full product is symmetric, so there it
-    costs less than the square.
+    on every row share one full matrix, unless their part is factored (see
+    _Factored); the others are stored on their support rows only. A block
+    whose support square exceeds half of m x m joins the full matrix too:
+    the full product is symmetric, so there it costs less than the square.
 
     a_mats holds A's PSD blocks as matrices on their support rows, or for a
-    low-rank part (see _Patterned) the matrices of its basis, which every
-    block shares; g and schur hold G and the Schur complement, then its
-    factor, for every iteration; g_chunks holds the views that scaled_gram
-    writes G through.
+    factored part the matrices of its basis, which every block shares; g
+    and schur hold G and the Schur complement, then its factor, for every
+    iteration; g_chunks holds the views that scaled_gram writes G through.
     """
 
     def __init__(self, prog: ConicProgram):
@@ -461,41 +492,33 @@ class _Workspace:
             for p in self.parts
         }
         # A's PSD blocks in matrix form on their support rows, fixed across
-        # iterations; a_vals is left with the NonNeg values alone. A low-rank
-        # part keeps C = A B^T (m, q, r) and the matrices of its basis B.
+        # iterations; a_vals is left with the NonNeg values alone. A factored
+        # part keeps the matrices of its basis B and its _Factored form.
         self.a_mats, low_rank = {}, {}
         for p in [p for p in self.parts if p.order is not None]:
-            basis = _row_space(a_vals[p]) if p.rows is None else None
-            if basis is None:
-                self.a_mats[p] = smat(a_vals.pop(p), p.order)
-                continue
             vals = a_vals.pop(p)
-            q, r = len(vals), len(basis)
-            c = np.empty((m, q, r))
-            np.matmul(vals, basis.T, out=c.transpose(1, 0, 2))
-            self.a_mats[p] = np.broadcast_to(smat(basis, p.order), (q, r, p.order, p.order))
-            low_rank[p] = (c, np.empty((q, r, basis.shape[1])))
+            factored = _low_rank(vals, p.order) if p.rows is None else None
+            if factored is None:
+                self.a_mats[p] = smat(vals, p.order)
+                continue
+            self.a_mats[p], low_rank[p] = factored
 
-        # Full parts, low-rank ones last: G's columns, then the C T^T columns.
-        full = sorted(
-            (p for p in self.parts if p.rows is None), key=lambda p: (p in low_rank, p.cols[0, 0])
-        )
+        full = [p for p in self.parts if p.rows is None and p not in low_rank]
+        full.sort(key=lambda p: p.cols[0, 0])
         stop = 0
         for part in full:
-            width = low_rank[part][0][0].size if part in low_rank else part.cols.size
-            part.full = slice(stop, stop + width)
+            part.full = slice(stop, stop + part.cols.size)
             stop = part.full.stop
-        runs = [p.cols.ravel() for p in full if p not in low_rank]
+        runs = [p.cols.ravel() for p in full]
         self.full_cols = _index(np.concatenate(runs) if runs else np.zeros(0, dtype=int))
         # G's rounding depends on the memory order of its stores: a narrow PSD
-        # store has the svec axis outermost, the full matrix a[:, full_cols]'s
-        # unless it holds C T^T columns, which matmul writes in C order.
+        # store has the svec axis outermost, the full matrix a[:, full_cols]'s.
         narrow = {
             p: np.empty(p.rows.shape + p.cols.shape[1:]) if p.order is None
             else np.empty(p.cols.shape[1:] + p.rows.shape).transpose(1, 2, 0)
             for p in self.parts if p.rows is not None
         }
-        mem_order = "C" if isinstance(self.full_cols, slice) or low_rank else "F"
+        mem_order = "C" if isinstance(self.full_cols, slice) else "F"
         self.g = _Patterned(
             self.full_cols, np.empty((m, stop), order=mem_order), narrow, low_rank, prog.n
         )
@@ -545,17 +568,63 @@ class _Workspace:
         return views
 
 
+class _Factored:
+    """A full-support PSD part of q blocks whose A factors by row groups.
+
+    Its blocks' columns span r < d of their svec dimensions, so A_j = C_j B
+    on an orthonormal basis B (r, d), and every row i of group g (a run of
+    consecutive rows) has C_j[i] = alpha[g, j] chat[i]: A = blockdiag(chat_g)
+    (alpha (x) I) B. On group g's rows G_j = alpha[g, j] chat_g M_j with
+    M_j = B F_j, so the part's share of the Schur complement on groups g and
+    h is chat_g X_gh chat_h^T with X_gh = sum_j alpha[g, j] alpha[h, j] K_j
+    and K_j = M_j M_j^T. K_j is formed but never factored, which would square
+    M_j's condition number. group holds the group of every row, starts the
+    first row of every group and groups their row slices. ms holds M
+    (q, r, d), which scaled_gram writes; pairs holds alpha[g] * alpha[h] for
+    g <= h, grouped by h, and k, x and z are gram's buffers.
+    """
+
+    def __init__(self, chat, alpha, group, starts, d: int):
+        (m, r), q = chat.shape, alpha.shape[1]
+        self.chat, self.alpha, self.group, self.starts = chat, alpha, group, starts
+        self.groups = [slice(*run) for run in zip(starts, np.append(starts[1:], m))]
+        self.pairs = np.einsum("gj,hj->hgj", alpha, alpha)[np.tril_indices(len(alpha))]
+        self.ms = np.empty((q, r, d))
+        self.k = np.empty((q, r, r))
+        self.x = np.empty((len(self.pairs), r, r))
+        self.z = np.empty((m, r))
+
+    def dot(self, u: np.ndarray) -> np.ndarray:
+        """G u for the part's (q, d) entries of u: chat_g sum_j alpha[g, j] M_j u_j."""
+        w = self.alpha @ np.matmul(self.ms, u[:, :, None])[:, :, 0]
+        return np.einsum("ir,ir->i", self.chat, w[self.group])
+
+    def tdot(self, y: np.ndarray) -> np.ndarray:
+        """G^T y as (q, 1, d): M_j^T sum_g alpha[g, j] chat_g^T y_g."""
+        z = np.add.reduceat(self.chat * y[:, None], self.starts)
+        return np.matmul((self.alpha.T @ z)[:, None], self.ms)
+
+    def gram(self, out: np.ndarray) -> None:
+        """Adds the part's share of G G^T to the m x m out: column group h
+        on the rows of groups g <= h, then its mirror below the diagonal."""
+        np.matmul(self.ms, _t(self.ms), out=self.k)
+        np.matmul(self.pairs, self.k.reshape(len(self.k), -1), out=self.x.reshape(len(self.x), -1))
+        for h, cols in enumerate(self.groups):
+            for g, rows in enumerate(self.groups[: h + 1]):
+                np.matmul(self.chat[rows], self.x[h * (h + 1) // 2 + g], out=self.z[rows])
+            out[: cols.stop, cols] += self.z[: cols.stop] @ self.chat[cols].T
+            out[cols, : cols.start] = out[: cols.start, cols].T
+
+
 class _Patterned:
     """An m x n matrix that is zero outside A's (row support, block) pattern.
 
     full holds the columns of every full-support block side by side, in the
-    order of ws.full_cols, then those of the low-rank parts; narrow maps every
-    other part to its (q, size, d) values on its support rows and
-    block_grams to a buffer of their squares. A low-rank part has A = C B
-    on an orthonormal basis B of its rows, so its G is C M with M = B F;
-    low_rank maps it to C (m, q, r) and M (q, r, d). Its columns of full
-    hold C T^T for the QR M^T = Q T, whose Gram is G's, C M M^T C^T. The
-    scaled Gram G = A F is formed and multiplied only on A's pairs.
+    order of ws.full_cols, except those of the factored parts, which
+    low_rank maps to their _Factored form; narrow maps every other part to
+    its (q, size, d) values on its support rows and block_grams to a buffer
+    of their squares. The scaled Gram G = A F is formed and multiplied only
+    on A's pairs.
     """
 
     def __init__(self, full_cols, full: np.ndarray, narrow: dict, low_rank: dict, n: int):
@@ -565,30 +634,27 @@ class _Patterned:
         self.narrow = narrow
         self.low_rank = low_rank
         self.block_grams = {p: np.empty(v.shape[:2] + v.shape[1:2]) for p, v in narrow.items()}
-        # G's own columns of full, ahead of the low-rank parts' C T^T.
-        self.exact = full[:, : full.shape[1] - sum(c[0].size for c, _ in low_rank.values())]
         # Every block is in the full matrix, in x's column order: the
         # products are plain matrix products.
-        self.whole = isinstance(full_cols, slice) and self.exact.shape[1] == n
+        self.whole = isinstance(full_cols, slice) and full.shape[1] == n
         if self.whole:
             self.dot = full.__matmul__
             self.tdot = full.T.__matmul__
 
     def values(self, part: _Part) -> np.ndarray:
-        """(q, size, d) values of one part, or M of a low-rank part; a view
+        """(q, size, d) values of one part, or M of a factored part; a view
         for the other full-support parts."""
         if part.rows is not None:
             return self.narrow[part]
         if part in self.low_rank:
-            return self.low_rank[part][1]
+            return self.low_rank[part].ms
         q, d = part.cols.shape
         return self.full[:, part.full].reshape(-1, q, d).transpose(1, 0, 2)
 
     def dot(self, u: np.ndarray) -> np.ndarray:
-        out = self.exact @ u[self.full_cols]
-        for part, (c, ms) in self.low_rank.items():
-            v = np.matmul(ms, u[part.col_index].reshape(part.cols.shape + (1,)))
-            out += c.reshape(out.size, -1) @ v.ravel()
+        out = self.full @ u[self.full_cols]
+        for part, factored in self.low_rank.items():
+            out += factored.dot(u[part.col_index].reshape(part.cols.shape))
         for part, vals in self.narrow.items():
             v = np.matmul(vals, u[part.col_index].reshape(part.cols.shape + (1,)))
             # Supports of blocks in one part may share rows; bincount sums them.
@@ -597,10 +663,9 @@ class _Patterned:
 
     def tdot(self, y: np.ndarray) -> np.ndarray:
         out = np.zeros(self.n)
-        out[self.full_cols] = self.exact.T @ y
-        for part, (c, ms) in self.low_rank.items():
-            w = np.matmul((y @ c.reshape(y.size, -1)).reshape(len(ms), 1, -1), ms)
-            out[part.col_index] = w.ravel()
+        out[self.full_cols] = self.full.T @ y
+        for part, factored in self.low_rank.items():
+            out[part.col_index] = factored.tdot(y).ravel()
         for part, vals in self.narrow.items():
             w = np.matmul(y[part.row_index].reshape(part.rows.shape[0], 1, -1), vals)
             out[part.col_index] = w.ravel()
@@ -608,9 +673,11 @@ class _Patterned:
 
     def gram(self, out: np.ndarray) -> np.ndarray:
         """This matrix times its transpose, written into the m x m out: one
-        product over the full-support and C T^T columns, plus each narrow
-        block's square added on its support rows."""
+        product over the full-support columns, plus each factored part's
+        share and each narrow block's square added on its support rows."""
         np.matmul(self.full, self.full.T, out=out)
+        for factored in self.low_rank.values():
+            factored.gram(out)
         for part, vals in self.narrow.items():
             blocks = np.matmul(vals, vals.transpose(0, 2, 1), out=self.block_grams[part])
             for square, blk in zip(part.squares, blocks):
@@ -620,10 +687,10 @@ class _Patterned:
     def dense(self) -> np.ndarray:
         m = self.full.shape[0]
         out = np.zeros((m, self.n))
-        out[:, self.full_cols] = self.exact
-        for part, (c, ms) in self.low_rank.items():
-            blocks = np.matmul(c.transpose(1, 0, 2), ms)
-            out[:, part.col_index] = blocks.transpose(1, 0, 2).reshape(m, -1)
+        out[:, self.full_cols] = self.full
+        for part, f in self.low_rank.items():
+            c = f.alpha[f.group].T[:, :, None] * f.chat
+            out[:, part.col_index] = np.matmul(c, f.ms).transpose(1, 0, 2).reshape(m, -1)
         for part, vals in self.narrow.items():
             out[part.rows[:, :, None], part.cols[:, None, :]] = vals
         return out
@@ -742,12 +809,6 @@ class _Scaling:
                 # svec of the chunk's congruences: np.take gathers the upper
                 # triangles and the product with enc lands in G.
                 np.multiply(flat.take(part.upper, axis=-1), part.enc, out=dest)
-        for part, (c, ms) in ws.g.low_rank.items():
-            # T^T T = M M^T from the QR of M^T; a Cholesky of M M^T would
-            # square M's condition number.
-            t = np.linalg.qr(_t(ms), mode="r")
-            dest = ws.g.full[:, part.full].reshape(c.shape).transpose(1, 0, 2)
-            np.matmul(c.transpose(1, 0, 2), _t(t), out=dest)
         return ws.g
 
     def step_limit(self, u: np.ndarray, v: np.ndarray) -> float:
@@ -789,17 +850,17 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
     best: SolveOutcome | None = None
     best_score = np.inf
 
-    def _is_ray(v: np.ndarray, cv: float) -> bool:
-        """<c, v> < 0 with A v ~ 0: the improving-ray test."""
-        return cv < 0 and float(_norm(a_dot(v))) * max(1.0, c_norm) <= cfg.tol_inf * -cv
+    def _is_ray(av: np.ndarray, cv: float) -> bool:
+        """<c, v> < 0 with A v ~ 0, given av = A v: the improving-ray test."""
+        return cv < 0 and float(_norm(av)) * max(1.0, c_norm) <= cfg.tol_inf * -cv
 
-    def _classify(it: int) -> SolveOutcome | None:
+    def _classify(it: int, ax: np.ndarray, aty: np.ndarray) -> SolveOutcome | None:
         nonlocal best, best_score
-        # Optimality on the tau-scaled point.
+        # Optimality on the tau-scaled point, from ax = A x and aty = A^T y.
         xh, yh, sh = x / tau, y / tau, s / tau
         pobj, dobj = float(c @ xh), float(b @ yh)
-        pres = float(_norm(a_dot(xh) - b)) / norm_b
-        dres = float(_norm(a_tdot(yh) + sh - c)) / norm_c
+        pres = float(_norm(ax / tau - b)) / norm_b
+        dres = float(_norm(aty / tau + sh - c)) / norm_c
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         score = max(pres, dres, gap)
         if best is None or score < best_score:
@@ -814,7 +875,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
         # Infeasibility certificates from the homogeneous part.
         by = float(b @ y)
         if by > 0:
-            res = float(_norm(a_tdot(y) + s)) * max(1.0, b_norm)
+            res = float(_norm(aty + s)) * max(1.0, b_norm)
             if res <= cfg.tol_inf * by:
                 yn, sn = y / by, s / by
                 cert = cone_distance(-a_tdot(yn), prog.cones)
@@ -824,11 +885,11 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                     message="Farkas dual ray: <b,y>=1, -A^T y in cone",
                 )
         cx = float(c @ x)
-        if _is_ray(x, cx):
+        if _is_ray(ax, cx):
             # The ray is returned normalized, so the normalized ray itself
             # must pass the test and lie in the cone.
             xn = x / (-cx)
-            if _is_ray(xn, float(c @ xn)) and cone_min_eig(xn, prog.cones) >= -cfg.tol_inf:
+            if _is_ray(a_dot(xn), float(c @ xn)) and cone_min_eig(xn, prog.cones) >= -cfg.tol_inf:
                 return SolveOutcome(
                     Status.DUAL_INFEASIBLE, xn, None, None, np.nan, np.nan, it,
                     np.nan, np.nan, np.nan, cert_res=float(_norm(a_dot(xn))),
@@ -839,7 +900,9 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
     message = "iteration limit reached"
     try:
         for it in itertools.count():
-            out = _classify(it)
+            # A x and A^T y, shared by the classification and the residuals.
+            ax, aty = a_dot(x), a_tdot(y)
+            out = _classify(it, ax, aty)
             if out is not None:
                 return out
             if it >= cfg.max_iter:
@@ -916,8 +979,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                         pass
                 return state[:2]
 
-            rx = s + a_tdot(y) - c * tau
-            ry = a_dot(x) - b * tau
+            rx = s + aty - c * tau
+            ry = ax - b * tau
             rt = kappa + float(c @ x) - float(b @ y)
             # <c, dx> = <F^T c, xbar>.
             fc = scal.scale_s(c)

@@ -501,14 +501,17 @@ MODELS = ("sphere", "ellipsoid", "fdd", "box")
 def stored_a(ws):
     """A rebuilt from the only copies of its values that the workspace
     keeps: the matrices of its PSD blocks in a_mats and the NonNeg values
-    that scaled_gram reads, each on its support rows, and C B for a low-rank
-    part, whose a_mats hold the matrices of its basis B."""
+    that scaled_gram reads, each on its support rows, and blockdiag(chat_g)
+    (alpha (x) I) B for a factored part, whose a_mats hold the matrices of
+    its basis B."""
     m, n = ws.prog.A.shape
     out = np.zeros((m, n))
     for part in ws.parts:
         if part in ws.g.low_rank:
-            c = ws.g.low_rank[part][0]
-            vals = np.matmul(c.transpose(1, 0, 2), svec(ws.a_mats[part][0]))
+            f = ws.g.low_rank[part]
+            # Block j of C on group g's rows is alpha[g, j] chat_g: (q, m, r).
+            c = [f.alpha[g][:, None, None] * f.chat[rows] for g, rows in enumerate(f.groups)]
+            vals = np.matmul(np.concatenate(c, axis=1), svec(ws.a_mats[part][0]))
         elif part.order is None:
             vals = ws.g_chunks[part][0][0]
         else:
@@ -583,13 +586,61 @@ def test_gram_on_robust_sdp(model):
 @pytest.mark.parametrize("model", MODELS)
 def test_gram_on_low_rank_parts(model):
     """At 8x7 the 136 svec columns of each W block of A span N^2 = 64
-    dimensions, so G's W part is formed on that row-space basis: A, G, its
-    Gram and its products still match the dense reference."""
+    dimensions, and each user's 81 LMI rows combine the 7 W blocks with one
+    coefficient vector, so the W part is factored by user: A, G, its Gram
+    and its products still match the dense reference, and G's full matrix
+    keeps none of the W columns."""
     prog, _ = build_robust_sdp(model_scenario(0, 8, 7, model))
     ws = assert_matches_dense_gram(prog)
-    [(part, (c, ms))] = ws.g.low_rank.items()
-    assert part.order == 16 and c.shape == (prog.m, 7, 64) and ms.shape == (7, 64, 136)
-    assert ws.g.full.shape[1] == ws.g.exact.shape[1] + 7 * 64
+    [(part, f)] = ws.g.low_rank.items()
+    assert part.order == 16 and part.full is None
+    assert f.chat.shape == (prog.m, 64) and f.alpha.shape == (7, 7) and f.ms.shape == (7, 64, 136)
+    assert f.groups == [slice(81 * g, 81 * (g + 1)) for g in range(7)]
+    assert ws.g.full.shape[1] == sum(p.cols.size for p in ws.parts if p.rows is None) - 7 * 136
+
+
+def factored_program(rng, coef):
+    """Three order-4 PSD blocks (d = 10) on every row, whose A columns span
+    r = 6 of their svec dimensions: block j of row i is coef[i, j] e_i, e_i
+    random in that span. Feasible by construction, as patterned_program."""
+    cones = [Psd(4)] * 3
+    span = rng.standard_normal((6, 10))
+    e = rng.standard_normal((len(coef), 6)) @ span
+    a = (coef[:, :, None] * e[:, None, :]).reshape(len(coef), -1)
+    x0, s0 = interior_point(rng, cones), interior_point(rng, cones)
+    return ConicProgram(c=a.T @ rng.standard_normal(len(coef)) + s0, A=a, b=a @ x0, cones=cones)
+
+
+@pytest.mark.parametrize("layout", ["grouped", "not-rank-one", "interleaved"])
+def test_factoring_of_synthetic_rows(layout, monkeypatch):
+    """Rows in runs of equal coefficients across the blocks are factored
+    into those runs, alpha parallel to each run's coefficients. A row that
+    is not rank one across the blocks leaves the part on the exact path, and
+    so do interleaved groups, whose runs are single rows that cannot pay.
+    Either way G, its Gram and its products match the dense reference, and
+    the factored program solves."""
+    monkeypatch.setattr(conic, "_LOW_RANK_FLOPS", 0.0)
+    rng = np.random.default_rng(27)
+    runs = rng.standard_normal((3, 3))
+    sizes = (4, 3, 5)
+    coef = np.repeat(runs, sizes, axis=0)
+    if layout == "interleaved":
+        coef = runs[np.arange(12) % 2]
+    prog = factored_program(rng, coef)
+    if layout == "not-rank-one":
+        prog.A[5, 10:20] += 1e-6 * prog.A[6, 10:20]
+    ws = assert_matches_dense_gram(prog)
+    if layout != "grouped":
+        assert not ws.g.low_rank and ws.g.full.shape == prog.A.shape
+        return
+    [(part, f)] = ws.g.low_rank.items()
+    assert f.groups == [slice(0, 4), slice(4, 7), slice(7, 12)]
+    cos = np.abs(np.sum(f.alpha * runs, axis=1)) / np.linalg.norm(runs, axis=1)
+    assert np.allclose(cos, 1.0, rtol=0.0, atol=1e-14)
+    assert f.chat.shape == (12, 6) and ws.g.full.shape == (12, 0)
+    out = solve(prog)
+    assert out.status is Status.OPTIMAL, out.message
+    assert kkt_residual(prog, out) <= 1e-8
 
 
 def fixed_programs(n, k, seed):
@@ -618,7 +669,8 @@ def test_small_programs_keep_every_column_of_g(program):
         progs = [build_robust_sdp(model_scenario(0, n, 3, model))[0] for model in MODELS]
     for prog in progs:
         ws = _Workspace(prog)
-        assert not ws.g.low_rank and ws.g.exact.shape == ws.g.full.shape
+        assert not ws.g.low_rank
+        assert ws.g.full.shape[1] == sum(p.cols.size for p in ws.parts if p.rows is None)
         for part in ws.parts:
             if part.order is not None and part.rows is None:
                 bound = conic._low_rank_gain(prog.m, *part.cols.shape, 0)
@@ -682,12 +734,13 @@ def test_gram_buffers_keep_no_stale_rows(program):
 def test_solve_peak_memory_8x7():
     """Per-solve buffers for G and the one Schur buffer that potrf factors
     in place, A's values kept once, the row-chunked congruence and the W
-    part kept as C = A B^T on its rank-64 row-space basis keep the traced
-    peak of an 8x7 solve within 1.6 times the bytes of A for every model,
-    1.26x to 1.31x for these designs. Fresh arrays every iteration peaked
+    part factored by user on its rank-64 row-space basis keep the traced
+    peak of an 8x7 solve within 1.25 times the bytes of A for every model,
+    1.01x to 1.05x for these designs. Fresh arrays every iteration peaked
     at 4.26x, a separate factor buffer and a copy of A's full columns at up
-    to 2.88x (the ellipsoid), the W blocks' own matrices at 2.01x to
-    2.06x."""
+    to 2.88x (the ellipsoid), the W blocks' own matrices at 2.01x to 2.06x,
+    and the W part's C = A B^T with its C T^T columns in G at 1.26x to
+    1.31x."""
     for model in MODELS:
         prog, _ = build_robust_sdp(model_scenario(0, 8, 7, model))
         tracemalloc.start()
@@ -698,7 +751,7 @@ def test_solve_peak_memory_8x7():
         finally:
             tracemalloc.stop()
         assert out.status is Status.OPTIMAL, model
-        assert peak <= 1.6 * prog.A.nbytes, (model, peak / prog.A.nbytes)
+        assert peak <= 1.25 * prog.A.nbytes, (model, peak / prog.A.nbytes)
 
 
 def test_solve_leaves_no_reference_cycle():

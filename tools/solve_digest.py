@@ -10,7 +10,7 @@ every result must leave the two files equal:
     PYTHONPATH=src python3 tools/solve_digest.py seeded grid large > digest.txt
 
 A change that alters the bytes on purpose (a different but equally exact
-arithmetic, such as the low-rank W part of the 8x7 designs) compares only
+arithmetic, such as the factored W part of the 8x7 designs) compares only
 the first five fields, label to message, which must still be equal:
 
     cut -d'|' -f1-5 digest.txt
@@ -24,6 +24,12 @@ The sets, any of which may be named (seeded and grid when none is):
   grid    the 288-point 4x3 stress grid of tests/test_solver.py.
   large   the 32 large-design inputs of benchmark seed 1 (8x7, read from
           perfbench/workloads.py).
+  stress8x7  64 designs at 8x7, sample_scenario(seed, 8, 7, rho, sigma2,
+          0.3, rate) over seeds 0-1, rho 1e-3 and 1e4, sigma2 1e-5 and 0.1
+          and rate 0.7 and 2.0, for the four models built as the benchmark
+          builds them: an ellipsoid with squared semi-axes 0.5-1.5 times the
+          squared ball radius r^2 on a random unitary basis, fdd at delta
+          0.3 and a box of halfwidth r / sqrt(N).
 
 Digests depend on the BLAS build and its thread count. The BLAS is pinned
 to one thread before numpy loads; compare runs on one machine only. CI does
@@ -132,7 +138,27 @@ def large():
         yield f"large-design seed 1 input {i} {workload.models[i % 4]}", build_robust_sdp(sc)[0]
 
 
-SETS = {"seeded": seeded, "grid": grid, "large": large}
+def stress8x7():
+    n, k = 8, 7
+    for seed, rho, sigma2, rate in itertools.product((0, 1), (1e-3, 1e4), (1e-5, 0.1), (0.7, 2.0)):
+        sc = sample_scenario(seed, n, k, rho, sigma2, 0.3, rate)
+        radius = sc.uncertainty.radius
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        q, _ = np.linalg.qr(z)
+        axes2 = rng.uniform(0.5, 1.5, (k, n)) * radius[:, None] ** 2
+        models = {
+            "sphere": sc.uncertainty,
+            "ellipsoid": EllipsoidUncertainty(np.einsum("kij,kj,klj->kil", q, axes2, q.conj())),
+            "fdd": FddUncertainty(0.3),
+            "box": BoxUncertainty(radius / np.sqrt(n)),
+        }
+        for model, unc in models.items():
+            label = f"stress8x7 {model} seed {seed} rho {rho:g} sigma2 {sigma2:g} rate {rate:g}"
+            yield label, build_robust_sdp(replace(sc, uncertainty=unc))[0]
+
+
+SETS = {"seeded": seeded, "grid": grid, "large": large, "stress8x7": stress8x7}
 
 
 def main(argv: list[str]) -> int:
