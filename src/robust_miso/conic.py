@@ -27,21 +27,30 @@ and sbar directly. dx = F xbar and ds = F^-T sbar are formed once per
 iteration, for the update. On a PSD block, F, F^T and F^-T share one
 congruence M^T V M, with M = R^T, R or R^-1 for the NT factor R.
 
-One block layout drives every batched operation. It is read from A once per
-solve: the support of a cone block is the set of rows of A with a nonzero in
-its columns (the NonNeg columns count as one block), and every block belongs
-to exactly one part, the blocks of one kind, order and support size. The NT
-scaling, the step lengths and the Newton right-hand sides loop over the
-parts; so do G and the Schur complement, which are formed only on the
-(row, block) pairs of the parts with nonempty support. The blocks supported
-on every row share one dense matrix that enters the Schur complement as a
-single symmetric product; every other block adds its own square on its
-support rows. Products with G take the same split, and products with A read
-only its nonzeros. Every part gathers its blocks from an n-vector with one
-take through a table built once per solve (the position of every matrix
-entry, divided by its svec scale), and scatters them back with one take of
-the upper triangles. The Schur complement is factored and solved by LAPACK
-potrf and potrs, called directly.
+One block layout drives every batched operation. It is read once per solve
+from the row-major list of A's nonzeros: the support of a cone block is the
+set of rows of A with a nonzero in its columns (the NonNeg columns count as
+one block), and every block belongs to exactly one part, the blocks of one
+kind, order and support size. The NT scaling, the step lengths and the
+Newton right-hand sides loop over the parts; so do G and the Schur
+complement, which are formed only on the (row, block) pairs of the parts
+with nonempty support. The blocks supported on every row share one dense
+matrix that enters the Schur complement as a single symmetric product; every
+other block adds its own square on its support rows. Products with G take
+the same split. Products with A go through one scipy CSR copy of A, built
+from the same list, and products with A^T through its transpose, a CSC view
+of the same arrays. Each sums the products of an output entry from 0.0 in
+the order in which np.bincount accumulates the row-major nonzeros:
+csr_matvec a row of A in ascending column order, csc_matvec a column in
+ascending row order. So the products keep bincount's bits (scipy's x86-64
+builds do not contract these sums into FMA). np.add.reduceat would round
+differently: it sums each segment pairwise. A whole layout, every block full
+and in x's column order as in the m = 3 programs, takes A's own products,
+which cost less than scipy's call there. Every part gathers its blocks from
+an n-vector with one take through a table built once per solve (the position
+of every matrix entry, divided by its svec scale), and scatters them back
+with one take of the upper triangles. The Schur complement is factored and
+solved by LAPACK potrf and potrs, called directly.
 
 A full-support PSD part whose A columns span r < d of its blocks' d svec
 dimensions, and whose rows combine its q blocks in groups, is factored once
@@ -109,6 +118,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.sparse import csr_array
 
 DEFAULT_TOL_FEAS = 1e-8
 DEFAULT_TOL_GAP = 1e-8
@@ -370,17 +380,24 @@ def _low_rank(vals: np.ndarray, order: int):
         return None
     # C[i, j] = alpha[g, j] chat[i] with alpha[g] of unit norm, g running
     # over the runs of rows whose coefficients across the blocks are
-    # parallel; every row must match its factors to 1e-12 of its norm.
+    # parallel; every row must match its factors to 1e-12 of its norm. A
+    # rank-one row's Gram is a a^T |chat[i]|^2 for its coefficients a, so
+    # the column of its largest block is parallel to a; a row with a zero
+    # Gram has no direction and runs alone.
     c = np.matmul(vals, basis.T).transpose(1, 0, 2)
     grams = np.matmul(c, _t(c))
-    lead = np.linalg.eigh(grams)[1][..., -1]
+    lead = grams[np.arange(m), :, grams.diagonal(axis1=1, axis2=2).argmax(axis=1)]
+    norms = np.linalg.norm(lead, axis=1, keepdims=True)
+    lead = np.divide(lead, norms, out=np.zeros_like(lead), where=norms > 0)
     parallel = np.abs(np.sum(lead[1:] * lead[:-1], axis=1)) >= 1.0 - 1e-12
     group = np.cumsum(np.append(0, ~parallel))
     starts = np.flatnonzero(np.append(True, ~parallel))
     alpha = np.linalg.eigh(np.add.reduceat(grams, starts))[1][..., -1]
     chat = np.matmul(alpha[group][:, None], c)[:, 0]
-    resid = c - alpha[group][:, :, None] * chat[:, None]
-    off = np.einsum("ijk,ijk->i", resid, resid) > 1e-24 * np.einsum("ijk,ijk->i", c, c)
+    # alpha[g] chat[i] - C[i] on a 2-D (m, q r) view: numpy writes it over
+    # the product, and einsum sums 2-D rows faster than 3-D ones.
+    resid = (alpha[group][:, :, None] * chat[:, None] - c).reshape(m, -1)
+    off = np.einsum("ij,ij->i", resid, resid) > 1e-24 * np.einsum("ijk,ijk->i", c, c)
     if np.any(off) or _low_rank_gain(m, q, d, r, len(starts)) < _LOW_RANK_FLOPS:
         return None
     mats = np.broadcast_to(smat(basis, order), (q, r, order, order))
@@ -402,9 +419,7 @@ class _Part:
     """
 
     def __init__(self, order: int | None, cols: np.ndarray, rows: np.ndarray | None):
-        self.order = order
-        self.cols = cols
-        self.rows = rows
+        self.order, self.cols, self.rows = order, cols, rows
         self.col_index = _index(cols)
         self.full: slice | None = None
         self.entries = cols
@@ -453,6 +468,8 @@ class _Workspace:
     factored part the matrices of its basis, which every block shares; g
     and schur hold G and the Schur complement, then its factor, for every
     iteration; g_chunks holds the views that scaled_gram writes G through.
+    a_dot and a_tdot are the products with A and A^T: of its CSR copy and
+    that copy's CSC transpose, or of A itself when the layout is whole.
     """
 
     def __init__(self, prog: ConicProgram):
@@ -461,11 +478,16 @@ class _Workspace:
         self.e = cone_identity(prog.cones)
 
         a = prog.A
-        m = a.shape[0]
+        m, n = a.shape
         bounds = np.cumsum([0] + [k.dim for k in prog.cones])
         ranges = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        # A's nonzeros, read once in row-major order; np.flatnonzero(a) on the
+        # floats would take longer than on a != 0.
+        flat = np.flatnonzero(a != 0)
+        nz_rows, nz_cols = divmod(flat, n)
         # touched[i, r]: cone i has a nonzero in row r of A.
-        touched = np.logical_or.reduceat(a != 0, bounds[:-1], axis=1).T
+        touched = np.zeros((len(prog.cones), m), dtype=bool)
+        touched[np.searchsorted(bounds, nz_cols, side="right") - 1, nz_rows] = True
         nn = [i for i, k in enumerate(prog.cones) if isinstance(k, NonNeg)]
         blocks = []
         if nn:
@@ -518,22 +540,22 @@ class _Workspace:
             else np.empty(p.cols.shape[1:] + p.rows.shape).transpose(1, 2, 0)
             for p in self.parts if p.rows is not None
         }
-        mem_order = "C" if isinstance(self.full_cols, slice) else "F"
-        self.g = _Patterned(
-            self.full_cols, np.empty((m, stop), order=mem_order), narrow, low_rank, prog.n
-        )
+        g_full = np.empty((m, stop), order="C" if isinstance(self.full_cols, slice) else "F")
+        self.g = _Patterned(self.full_cols, g_full, narrow, low_rank, n)
         self.schur = np.empty((m, m))
-        # Products with A itself read only its nonzeros, unless every block
-        # is full and in x's column order: then they are products with A.
+        # Products with A itself read only its nonzeros, through one CSR copy
+        # of A and its transpose, a CSC view of the same arrays, unless every
+        # block is full and in x's column order: then they are products with
+        # A, which cost less than scipy's call at m = 3. The CSR is built from
+        # the nonzero list; csr_array(a) would scan A's floats again. The list
+        # is dropped before G's chunk scratch is allocated, at the peak of the
+        # workspace's memory.
         self.a_dot, self.a_tdot = a.__matmul__, a.T.__matmul__
         if not self.g.whole:
-            # Row-major, as np.nonzero lists them; a != 0 is not held through the allocations.
-            n = prog.n
-            flat = np.flatnonzero(a != 0)
-            rows, cols = divmod(flat, n)
-            vals = a.ravel()[flat]
-            self.a_dot = lambda u: np.bincount(rows, vals * u[cols], minlength=m)
-            self.a_tdot = lambda y: np.bincount(cols, vals * y[rows], minlength=n)
+            indptr = np.searchsorted(nz_rows, np.arange(m + 1)).astype(np.int32)
+            csr = csr_array((a.ravel()[flat], nz_cols.astype(np.int32), indptr), shape=(m, n))
+            self.a_dot, self.a_tdot = csr.__matmul__, csr.T.__matmul__
+        del flat, nz_rows, nz_cols
         self.g_chunks = self._chunk_views(a_vals)
 
     def _chunk_views(self, a_vals: dict) -> dict:
@@ -628,11 +650,8 @@ class _Patterned:
     """
 
     def __init__(self, full_cols, full: np.ndarray, narrow: dict, low_rank: dict, n: int):
-        self.full_cols = full_cols
-        self.n = n
-        self.full = full
-        self.narrow = narrow
-        self.low_rank = low_rank
+        self.full_cols, self.full, self.n = full_cols, full, n
+        self.narrow, self.low_rank = narrow, low_rank
         self.block_grams = {p: np.empty(v.shape[:2] + v.shape[1:2]) for p, v in narrow.items()}
         # Every block is in the full matrix, in x's column order: the
         # products are plain matrix products.
@@ -675,7 +694,10 @@ class _Patterned:
         """This matrix times its transpose, written into the m x m out: one
         product over the full-support columns, plus each factored part's
         share and each narrow block's square added on its support rows."""
-        np.matmul(self.full, self.full.T, out=out)
+        if self.full.shape[1]:
+            np.matmul(self.full, self.full.T, out=out)
+        else:
+            out.fill(0.0)
         for factored in self.low_rank.values():
             factored.gram(out)
         for part, vals in self.narrow.items():

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.sparse import csc_array, csr_array
 from hypothesis import given, settings, strategies as st
 
 from robust_miso import conic
@@ -574,6 +575,72 @@ def test_gram_with_all_full_supports(cones, in_order):
     assert np.shares_memory(ws.g_chunks[nn_part][0][0], prog.A)
 
 
+def bincount_products(a):
+    """A u and A^T y as np.bincount over A's nonzeros in row-major order:
+    the reference the workspace's CSR products must equal to the bit."""
+    m, n = a.shape
+    flat = np.flatnonzero(a != 0)
+    rows, cols = divmod(flat, n)
+    vals = a.ravel()[flat]
+    return (
+        lambda u: np.bincount(rows, vals * u[cols], minlength=m),
+        lambda y: np.bincount(cols, vals * y[rows], minlength=n),
+    )
+
+
+def product_programs(program):
+    """The programs of one case of test_a_products_match_bincount."""
+    if program == "fixed-4x3":
+        return fixed_programs(4, 3, 0)
+    if program == "patterned":
+        return [patterned_program(np.random.default_rng(21))]
+    if program == "full-supports":
+        rng = np.random.default_rng(22)
+        orders = ([Psd(3), Psd(3), NonNeg(2)], [Psd(3), NonNeg(2), Psd(3)])
+        return [feasible_instance(rng, cones)[0] for cones in orders]
+    shape, model = program.split("-")
+    n, k = map(int, shape.split("x"))
+    return [build_robust_sdp(model_scenario(0, n, k, model))[0]]
+
+
+@pytest.mark.parametrize(
+    "program",
+    [f"{n}x{k}-{model}" for n, k in ((4, 3), (8, 3), (8, 7)) for model in MODELS]
+    + ["fixed-4x3", "patterned", "full-supports"],
+)
+def test_a_products_match_bincount(program):
+    """Products with A go through one CSR copy of A and products with A^T
+    through its transpose, a CSC view of the same arrays, except in a whole
+    layout, which binds A's own products. csr_matvec sums each row of A from
+    0.0 in ascending column order and csc_matvec each column in ascending
+    row order, the orders in which np.bincount accumulates A's row-major
+    nonzeros, so on 20 vectors whose entries span 1e-8 to 1e8 both products
+    equal bincount's to the bit. That assumes a scipy build whose
+    csr_matvec and csc_matvec are not contracted into fused multiply-adds,
+    as in the x86-64 wheels; with FMA the products would round differently."""
+    rng = np.random.default_rng(28)
+    wholes = []
+    for prog in product_programs(program):
+        ws = _Workspace(prog)
+        wholes.append(ws.g.whole)
+        if ws.g.whole:
+            assert ws.a_dot.__self__ is prog.A and ws.a_tdot.__self__.base is prog.A
+            continue
+        csr, csc = ws.a_dot.__self__, ws.a_tdot.__self__
+        assert isinstance(csr, csr_array) and isinstance(csc, csc_array)
+        assert np.shares_memory(csc.data, csr.data) and np.shares_memory(csc.indices, csr.indices)
+        dot, tdot = bincount_products(prog.A)
+        for _ in range(20):
+            u = rng.standard_normal(prog.n) * 10.0 ** rng.uniform(-8.0, 8.0, prog.n)
+            y = rng.standard_normal(prog.m) * 10.0 ** rng.uniform(-8.0, 8.0, prog.m)
+            assert np.array_equal(ws.a_dot(u), dot(u))
+            assert np.array_equal(ws.a_tdot(y), tdot(y))
+    # The m = 3 fixed programs and full supports in x's column order are
+    # whole; the fixed duals add a narrow block.
+    want = {"fixed-4x3": [True, False, False, True], "full-supports": [True, False]}
+    assert wholes == want.get(program, [False])
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_gram_on_robust_sdp(model):
     prog, _ = build_robust_sdp(model_scenario(0, 4, 3, model))
@@ -611,6 +678,23 @@ def factored_program(rng, coef):
     return ConicProgram(c=a.T @ rng.standard_normal(len(coef)) + s0, A=a, b=a @ x0, cones=cones)
 
 
+def synthetic_rows(layout):
+    """A factored_program of 12 rows in runs of 4, 3 and 5 with the run
+    coefficients; one row perturbed off rank one, two runs interleaved row
+    by row, or row 5 zero, as layout says."""
+    rng = np.random.default_rng(27)
+    runs = rng.standard_normal((3, 3))
+    coef = np.repeat(runs, (4, 3, 5), axis=0)
+    if layout == "interleaved":
+        coef = runs[np.arange(12) % 2]
+    if layout == "zero-row":
+        coef[5] = 0.0
+    prog = factored_program(rng, coef)
+    if layout == "not-rank-one":
+        prog.A[5, 10:20] += 1e-6 * prog.A[6, 10:20]
+    return prog, runs
+
+
 @pytest.mark.parametrize("layout", ["grouped", "not-rank-one", "interleaved"])
 def test_factoring_of_synthetic_rows(layout, monkeypatch):
     """Rows in runs of equal coefficients across the blocks are factored
@@ -620,15 +704,7 @@ def test_factoring_of_synthetic_rows(layout, monkeypatch):
     Either way G, its Gram and its products match the dense reference, and
     the factored program solves."""
     monkeypatch.setattr(conic, "_LOW_RANK_FLOPS", 0.0)
-    rng = np.random.default_rng(27)
-    runs = rng.standard_normal((3, 3))
-    sizes = (4, 3, 5)
-    coef = np.repeat(runs, sizes, axis=0)
-    if layout == "interleaved":
-        coef = runs[np.arange(12) % 2]
-    prog = factored_program(rng, coef)
-    if layout == "not-rank-one":
-        prog.A[5, 10:20] += 1e-6 * prog.A[6, 10:20]
+    prog, runs = synthetic_rows(layout)
     ws = assert_matches_dense_gram(prog)
     if layout != "grouped":
         assert not ws.g.low_rank and ws.g.full.shape == prog.A.shape
@@ -641,6 +717,61 @@ def test_factoring_of_synthetic_rows(layout, monkeypatch):
     out = solve(prog)
     assert out.status is Status.OPTIMAL, out.message
     assert kkt_residual(prog, out) <= 1e-8
+
+
+def eigh_low_rank(vals, order):
+    """conic._low_rank with each row's lead direction taken from a batched
+    eigh of its q x q Gram: the reference for the Gram-column lead."""
+    q, m, d = vals.shape
+    if conic._low_rank_gain(m, q, d, 0) < conic._LOW_RANK_FLOPS:
+        return None
+    lam, vecs = np.linalg.eigh(np.matmul(vals.transpose(0, 2, 1), vals).sum(axis=0))
+    basis = vecs[:, lam > 1e-12 * lam[-1]].T
+    r = len(basis)
+    if r == d or conic._low_rank_gain(m, q, d, r) < conic._LOW_RANK_FLOPS:
+        return None
+    c = np.matmul(vals, basis.T).transpose(1, 0, 2)
+    grams = np.matmul(c, c.transpose(0, 2, 1))
+    lead = np.linalg.eigh(grams)[1][..., -1]
+    parallel = np.abs(np.sum(lead[1:] * lead[:-1], axis=1)) >= 1.0 - 1e-12
+    group = np.cumsum(np.append(0, ~parallel))
+    starts = np.flatnonzero(np.append(True, ~parallel))
+    alpha = np.linalg.eigh(np.add.reduceat(grams, starts))[1][..., -1]
+    chat = np.matmul(alpha[group][:, None], c)[:, 0]
+    resid = c - alpha[group][:, :, None] * chat[:, None]
+    off = np.einsum("ijk,ijk->i", resid, resid) > 1e-24 * np.einsum("ijk,ijk->i", c, c)
+    if np.any(off) or conic._low_rank_gain(m, q, d, r, len(starts)) < conic._LOW_RANK_FLOPS:
+        return None
+    return smat(basis, order), chat, alpha, group, starts
+
+
+@pytest.mark.parametrize("case", [*MODELS, "grouped", "not-rank-one", "interleaved", "zero-row"])
+def test_low_rank_lead_matches_eigh(case, monkeypatch):
+    """The lead direction of a rank-one row is the Gram column of its largest
+    block, and a row with a zero Gram runs alone: on the 8x7 designs and the
+    synthetic rows, every full PSD part is factored or left exact as with
+    eigh leads, with the same basis, groups, alpha and chat to the bit."""
+    if case in MODELS:
+        prog = build_robust_sdp(model_scenario(0, 8, 7, case))[0]
+    else:
+        monkeypatch.setattr(conic, "_LOW_RANK_FLOPS", 0.0)
+        prog = synthetic_rows(case)[0]
+    factored = []
+    for part in _Workspace(prog).parts:
+        if part.order is None or part.rows is not None:
+            continue
+        vals = prog.A[:, part.col_index].reshape(prog.m, *part.cols.shape).transpose(1, 0, 2)
+        got, want = conic._low_rank(vals, part.order), eigh_low_rank(vals, part.order)
+        assert (got is None) is (want is None)
+        if got is None:
+            continue
+        mats, f = got
+        assert np.array_equal(mats[0], want[0])
+        for name, ref in zip(("chat", "alpha", "group", "starts"), want[1:]):
+            assert np.array_equal(getattr(f, name), ref), name
+        factored.append(len(f.starts))
+    runs = {"grouped": [3], "zero-row": [5], "not-rank-one": [], "interleaved": []}
+    assert factored == runs.get(case, [7])
 
 
 def fixed_programs(n, k, seed):
@@ -736,7 +867,7 @@ def test_solve_peak_memory_8x7():
     in place, A's values kept once, the row-chunked congruence and the W
     part factored by user on its rank-64 row-space basis keep the traced
     peak of an 8x7 solve within 1.25 times the bytes of A for every model,
-    1.01x to 1.05x for these designs. Fresh arrays every iteration peaked
+    1.00x to 1.04x for these designs. Fresh arrays every iteration peaked
     at 4.26x, a separate factor buffer and a copy of A's full columns at up
     to 2.88x (the ellipsoid), the W blocks' own matrices at 2.01x to 2.06x,
     and the W part's C = A B^T with its C T^T columns in G at 1.26x to
