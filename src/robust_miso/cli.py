@@ -399,14 +399,7 @@ def cmd_audit(args) -> int:
         return _failure_exit(outcome.status)
     solution = extract_solution(index, outcome)
     try:
-        duality = duality_audit(
-            scenario,
-            solution,
-            samples=args.samples,
-            seed=args.seed,
-            proposals=args.proposals,
-            patience=args.patience,
-        )
+        duality = duality_audit(scenario, solution, samples=args.samples, seed=args.seed)
         kkt = kkt_rank_audit(solution)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
@@ -478,10 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", help="duality and rank audits on a solved scenario")
     audit.add_argument("--scenario", required=True)
-    audit.add_argument("--samples", type=int, default=100)
+    audit.add_argument("--samples", type=int, default=100, help="fixed-channel solves")
     audit.add_argument("--seed", type=int, default=0)
-    audit.add_argument("--proposals", type=int, default=16)
-    audit.add_argument("--patience", type=int, default=5)
+    # The worst-case members come from the LMI multipliers: no search to tune.
+    for flag in ("--proposals", "--patience"):
+        audit.add_argument(flag, type=int, default=None, help="accepted and ignored")
     audit.add_argument("--out", default=None)
     audit.set_defaults(handler=cmd_audit)
     return parser

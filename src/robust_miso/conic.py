@@ -240,21 +240,6 @@ def cone_min_eig(v: np.ndarray, cones: list[Cone]) -> float:
     return min((float(np.min(lam)) for lam in _cone_eigs(v, cones)), default=np.inf)
 
 
-def cone_project(v: np.ndarray, cones: list[Cone]) -> np.ndarray:
-    """Euclidean projection onto K."""
-    out = np.empty_like(v)
-    off = 0
-    for k in cones:
-        seg = v[off : off + k.dim]
-        if isinstance(k, NonNeg):
-            out[off : off + k.dim] = np.maximum(seg, 0.0)
-        else:
-            lam, q = np.linalg.eigh(smat(seg, k.order))
-            out[off : off + k.dim] = svec((q * np.maximum(lam, 0.0)) @ q.T)
-        off += k.dim
-    return out
-
-
 def cone_distance(v: np.ndarray, cones: list[Cone]) -> float:
     """Euclidean distance from v to K: the norm of the negative eigenvalues
     of its blocks, computed directly rather than as |v - P(v)|, which

@@ -200,10 +200,11 @@ class DesignSolution:
     """Solved transmit design with its certifying auxiliary blocks.
 
     W stacks the K transmit covariances (N x N Hermitian PSD, power units).
-    Robust designs carry the K order-(N+1) LMI slacks in Z and the per-user
-    nonnegative multiplier vectors in t; fixed-channel designs carry
-    Z = t = None and expose the rate-constraint duals in mu. objective is
-    the total transmit power sum_i tr(W_i).
+    Robust designs carry the K order-(N+1) LMI slacks in Z, the per-user
+    nonnegative multiplier vectors in t and the K order-(N+1) Hermitian LMI
+    multipliers (the dual slacks of the Z blocks) in Y; fixed-channel
+    designs carry Z = t = Y = None and expose the rate-constraint duals in
+    mu. objective is the total transmit power sum_i tr(W_i).
     """
 
     W: np.ndarray
@@ -211,6 +212,7 @@ class DesignSolution:
     Z: np.ndarray | None = None
     t: np.ndarray | None = None
     mu: np.ndarray | None = None
+    Y: np.ndarray | None = None
 
     @property
     def n_users(self) -> int:
@@ -711,6 +713,5 @@ def extract_solution(maps, outcome: SolveOutcome) -> DesignSolution:
     objective = float(np.trace(w, axis1=1, axis2=2).real.sum())
     if isinstance(maps, FixedIndexMap):
         return DesignSolution(W=w, objective=objective, mu=maps.rate_duals(outcome))
-    return DesignSolution(
-        W=w, objective=objective, Z=maps.slack_matrices(outcome.x), t=maps.multipliers(outcome.x)
-    )
+    z, y = maps.slack_matrices(outcome.x), maps.slack_matrices(outcome.s)
+    return DesignSolution(W=w, objective=objective, Z=z, t=maps.multipliers(outcome.x), Y=y)

@@ -33,12 +33,9 @@ from .formulations import (
     extract_solution,
     gamma_from_rate,
 )
-from .hermitian import numerical_rank
+from .hermitian import hermitian_part, numerical_rank
 
 THREADS_ENV = "ROBUST_MISO_THREADS"
-# Hard cap on coordinate-ascent sweeps regardless of patience.
-MAX_ASCENT_SWEEPS = 50
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Largest antenna count N and user count K accepted from a caller. A robust
 # design has K (N + 1)^2 equality rows and a dense Schur complement of that
 # order, so designs run out of memory far below this; the bound only keeps
@@ -341,13 +338,14 @@ def mmf_rate(
 
 @dataclass(frozen=True)
 class DualityAuditReport:
-    """Sampled and refined lower bounds on the lifted-channel power curve.
+    """Lower bounds on v_star from fixed-channel powers at lifted channels.
 
     p_best is the largest fixed-channel optimal value found over members of
-    the lifted error sets, gap = v_star - p_best, violations counts
-    evaluations exceeding v_star + 1e-6 (zero when the solved design is
-    truly worst-case safe), and failures counts inner solves that did not
-    return Optimal.
+    the lifted error sets, gap = v_star - p_best (about zero, since one
+    evaluation is at the LMI multipliers' worst-case members), violations
+    counts evaluations exceeding v_star + 1e-6 (zero when the solved design
+    is truly worst-case safe), and failures counts inner solves that did
+    not return Optimal.
     """
 
     v_star: float
@@ -371,6 +369,23 @@ def _sample_member(rng, scenario: ChannelScenario, user: int) -> LiftedChannel:
     return LiftedChannel(user=user, h=scenario.presumed[:, user] + e, xi=xi)
 
 
+def _multiplier_member(scenario: ChannelScenario, y: np.ndarray, user: int) -> LiftedChannel:
+    """User's worst-case lifted channel read from its LMI multiplier.
+
+    With Y = [[Y11, y12], [y12^H, y22]] the member is h = hbar + y12/y22 and
+    xi = Y11/y22 - y12 y12^H/y22^2. Where roundoff leaves it over the ball
+    budget, h - hbar is scaled by f and xi by f^2, which brings both terms
+    of the budget down by f^2 and keeps xi PSD.
+    """
+    n = scenario.n_antennas
+    dev = y[:n, n] / y[n, n].real
+    xi = hermitian_part(y[:n, :n] / y[n, n].real - np.outer(dev, dev.conj()))
+    used = np.vdot(dev, dev).real + np.trace(xi).real
+    budget = scenario.uncertainty.radius[user] ** 2
+    f = math.sqrt(budget / used) if used > budget else 1.0
+    return LiftedChannel(user=user, h=scenario.presumed[:, user] + f * dev, xi=f * f * xi)
+
+
 def _member_power(
     scenario: ChannelScenario,
     members,
@@ -384,116 +399,45 @@ def _member_power(
     return outcome.objective
 
 
-def _golden_maximize(fun, iters: int = 12) -> tuple[float, float]:
-    """Golden-section maximization of fun over [0, 1]."""
-    lo, hi = 0.0, 1.0
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = fun(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = fun(x1)
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
-def _blend_member(a: LiftedChannel, b: LiftedChannel, theta: float) -> LiftedChannel:
-    """Convex combination inside the lifted set (the set is convex in
-    (h, residual) jointly)."""
-    return LiftedChannel(
-        user=a.user,
-        h=(1.0 - theta) * a.h + theta * b.h,
-        xi=(1.0 - theta) * a.xi + theta * b.xi,
-    )
-
-
 def duality_audit(
     scenario: ChannelScenario,
     solution: DesignSolution,
     samples: int = 100,
     seed: int = 0,
-    proposals: int = 16,
-    patience: int = 5,
-    improve_tol: float = 1e-6,
     settings: conic.SolverSettings | None = None,
 ) -> DualityAuditReport:
     """Check v_star against fixed-channel powers over the lifted error sets.
 
-    Draws `samples` random member tuples (the presumed centers are always
-    sample zero), evaluates the fixed-channel optimal power for each, then
-    runs a coordinate-ascent refinement: cycling users, each step
-    golden-searches the segment from the incumbent member to `proposals`
-    fresh random members and keeps any improvement. Ascent stops after
-    `patience` consecutive sweeps without improve_tol progress (set
-    patience=0 to skip). Every evaluated power is compared against
-    v_star + 1e-6 and counted in violations when above.
+    Sample zero takes every user's worst-case member from its LMI
+    multiplier in solution.Y; by the lifted duality its fixed-channel power
+    equals v_star, so the gap shows how exact the design is. The other
+    `samples - 1` member tuples are random draws. Every evaluated power is
+    compared against v_star + 1e-6 and counted in violations when above.
     """
     if scenario.uncertainty.kind != "sphere":
         raise ValueError("duality audit needs the ball error model")
+    if solution.Y is None:
+        raise ValueError("audit needs a robust solution with multipliers")
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     v_star = solution.objective
     k = scenario.n_users
-    n = scenario.n_antennas
-
-    center = tuple(
-        LiftedChannel(
-            user=i,
-            h=scenario.presumed[:, i].copy(),
-            xi=np.zeros((n, n), dtype=complex),
-        )
-        for i in range(k)
-    )
+    members = best = tuple(_multiplier_member(scenario, solution.Y[i], i) for i in range(k))
     evaluated = violations = failures = 0
     p_best = -math.inf
-    best = center
-
-    def account(members, power: float) -> None:
-        nonlocal evaluated, violations, failures, p_best, best
+    for sample in range(samples):
+        if sample:
+            members = tuple(_sample_member(rng, scenario, i) for i in range(k))
+        power = _member_power(scenario, members, settings)
         if math.isnan(power):
             failures += 1
-            return
+            continue
         evaluated += 1
         if power > v_star + 1e-6:
             violations += 1
         if power > p_best:
-            p_best = power
-            best = tuple(members)
-
-    account(center, _member_power(scenario, center, settings))
-    for _ in range(samples - 1):
-        members = tuple(_sample_member(rng, scenario, i) for i in range(k))
-        account(members, _member_power(scenario, members, settings))
-
-    idle = 0
-    sweeps = 0
-    while patience > 0 and idle < patience and sweeps < MAX_ASCENT_SWEEPS:
-        sweeps += 1
-        improved = False
-        for user in range(k):
-            incumbent = list(best)
-            for _ in range(proposals):
-                target = _sample_member(rng, scenario, user)
-
-                def power_at(theta: float) -> float:
-                    cand = list(incumbent)
-                    cand[user] = _blend_member(incumbent[user], target, theta)
-                    power = _member_power(scenario, cand, settings)
-                    account(cand, power)
-                    return -math.inf if math.isnan(power) else power
-
-                before = p_best
-                _golden_maximize(power_at)
-                if p_best > before + improve_tol:
-                    improved = True
-                    incumbent = list(best)
-        idle = 0 if improved else idle + 1
+            p_best, best = power, members
 
     return DualityAuditReport(
         v_star=v_star,

@@ -470,6 +470,19 @@ class TestAuditCommand:
         assert report["duality"]["gap"] >= -1e-6
         assert report["kkt"]["passed"] is True
 
+    def test_search_flags_parse_and_change_nothing(self, tmp_path):
+        path = write_scenario(tmp_path, sampled_mapping())
+        reports = []
+        for extra in ([], ["--proposals", "4", "--patience", "1"]):
+            out = tmp_path / f"audit{len(reports)}.json"
+            argv = ["audit", "--scenario", path, "--samples", "3", "--out", str(out)]
+            assert cli.main(argv + extra) == 0
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
+        duality = json.loads(reports[0])["duality"]
+        assert duality["evaluated"] == 3
+        assert duality["gap"] <= 1e-6 * duality["v_star"]
+
     def test_infeasible_scenario_exits_one(self, tmp_path):
         path = write_scenario(tmp_path, sampled_mapping(rate=6.6582))
         assert cli.main(["audit", "--scenario", path, "--samples", "2"]) == 1

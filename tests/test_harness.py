@@ -8,6 +8,7 @@ from robust_miso import harness
 from robust_miso.certificates import projector_gains, theorem1_margin
 from robust_miso.formulations import (
     ChannelScenario,
+    DesignSolution,
     SphereUncertainty,
     build_fixed_sdp,
     build_robust_sdp,
@@ -299,12 +300,13 @@ class TestMmfRate:
 
 
 class TestDualityAudit:
-    def test_center_never_beats_robust_power(self, solved_sample):
+    def test_multiplier_member_meets_robust_power(self, solved_sample):
         scenario, solution = solved_sample
-        report = duality_audit(scenario, solution, samples=1, patience=0)
+        report = duality_audit(scenario, solution, samples=1)
         assert report.evaluated == 1
         assert report.violations == 0
         assert report.p_best <= report.v_star + 1e-6
+        assert report.gap <= 1e-6 * report.v_star
 
     def test_single_user_witness_closes_gap(self):
         # For one user the worst channel is the presumed one shrunk by the
@@ -321,21 +323,55 @@ class TestDualityAudit:
 
     def test_hundred_samples_no_violations(self, solved_sample):
         scenario, solution = solved_sample
-        report = duality_audit(scenario, solution, samples=100, seed=3, patience=0)
+        report = duality_audit(scenario, solution, samples=100, seed=3)
         assert report.evaluated == 100
         assert report.violations == 0
         assert report.failures == 0
         assert report.gap >= -1e-6
 
-    def test_ascent_tightens_gap(self, solved_sample):
+    @pytest.mark.parametrize("n,k", [(4, 3), (8, 3), (8, 7)], ids=["4x3", "8x3", "8x7"])
+    def test_multiplier_members_close_gap(self, n, k):
+        # Every user's LMI multiplier gives a lifted channel whose
+        # fixed-channel power is v_star. The 8x7 design forms its W part
+        # factored by user, so its dual slack comes through that path.
+        scenario = sample_scenario(0, n, k, 1.0, 0.1, 0.1, 1.0)
+        solution = solve_robust(scenario)
+        report = duality_audit(scenario, solution, samples=4, seed=2)
+        assert report.gap <= 1e-6 * report.v_star
+        assert report.violations == 0
+        assert report.failures == 0
+        assert len(report.best_members) == k
+        eps2 = scenario.uncertainty.radius**2
+        for member in report.best_members:
+            assert member.membership_slack(scenario) >= -1e-12 * eps2[member.user]
+            lam = np.linalg.eigvalsh(member.xi)
+            assert lam[0] >= -1e-12 * lam[-1]
+
+    def test_multiplier_member_shrinks_into_budget(self, solved_sample):
+        # diag(2 I, 1) Y diag(2 I, 1) is still PSD but doubles y12/y22 and
+        # quadruples xi, so the member is four times over budget. Shrinking
+        # must put it on the boundary, at about the unscaled member.
         scenario, solution = solved_sample
-        base = duality_audit(scenario, solution, samples=8, seed=1, patience=0)
-        refined = duality_audit(
-            scenario, solution, samples=8, seed=1, proposals=4, patience=1
-        )
-        assert refined.p_best >= base.p_best - 1e-12
-        assert refined.violations == 0
-        assert len(refined.best_members) == scenario.n_users
+        d = np.r_[np.full(scenario.n_antennas, 2.0), 1.0]
+        eps2 = scenario.uncertainty.radius**2
+        for user, y in enumerate(solution.Y):
+            base = harness._multiplier_member(scenario, y, user)
+            shrunk = harness._multiplier_member(scenario, d[:, None] * y * d, user)
+            assert abs(shrunk.membership_slack(scenario)) <= 1e-12 * eps2[user]
+            np.testing.assert_allclose(shrunk.h, base.h, rtol=1e-6)
+            np.testing.assert_allclose(shrunk.xi, base.xi, rtol=1e-6, atol=1e-9)
+
+    def test_rejects_design_without_multipliers(self, solved_sample):
+        scenario, solution = solved_sample
+        chans = np.stack([np.outer(h, h.conj()) for h in scenario.presumed.T])
+        program, index = build_fixed_sdp(chans, scenario.noise_power, scenario.gamma)
+        outcome = conic.solve(program)
+        assert outcome.status is conic.Status.OPTIMAL
+        fixed = extract_solution(index, outcome)
+        hand_built = DesignSolution(W=solution.W, objective=solution.objective)
+        for design in (fixed, hand_built):
+            with pytest.raises(ValueError, match="robust solution with multipliers"):
+                duality_audit(scenario, design)
 
     def test_rejects_other_models_and_bad_counts(self, solved_sample):
         scenario, solution = solved_sample

@@ -23,7 +23,6 @@ from robust_miso.conic import (
     cone_distance,
     cone_identity,
     cone_min_eig,
-    cone_project,
     smat,
     solve,
     svec,
@@ -123,17 +122,18 @@ def test_cone_identity_and_min_eig():
     assert cone_min_eig(v, cones) == pytest.approx(-2.0)
 
 
-def test_cone_project_is_metric_projection():
+def test_cone_distance_of_known_point():
+    # The nearest cone point clips each negative eigenvalue to zero, so the
+    # distance is the norm of the negative entries and eigenvalues.
+    cones = [NonNeg(3), Psd(3)]
     rng = np.random.default_rng(6)
-    cones = [NonNeg(3), Psd(4)]
-    v = rng.standard_normal(3 + 10)
-    p = cone_project(v, cones)
-    assert cone_min_eig(p, cones) >= -1e-12
-    # Projection is no farther than an arbitrary cone member.
-    w = np.concatenate([rng.uniform(0, 2, 3), svec(rand_pd(4, rng))])
-    assert np.linalg.norm(v - p) <= np.linalg.norm(v - w) + 1e-12
-    assert cone_distance(p, cones) <= 1e-12
-    assert cone_distance(v, cones) == pytest.approx(np.linalg.norm(v - p), rel=1e-12)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    block = (q * np.array([1.0, -4.0, 2.0])) @ q.T
+    v = np.concatenate([[-3.0, 1.0, 0.0], svec(block)])
+    assert cone_distance(v, cones) == pytest.approx(5.0, rel=1e-12)
+    v[0] = 3.0
+    assert cone_distance(v, cones) == pytest.approx(4.0, rel=1e-12)
+    assert cone_distance(cone_identity(cones), cones) == 0.0
 
 
 def test_program_validation():
