@@ -55,6 +55,24 @@ def projector_gains(presumed: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gain_ratio(scenario: ChannelScenario, beta: np.ndarray | None = None) -> np.ndarray:
+    """Squared projector gain over the squared radius of the ball around
+    each user's error set (_ball_radius)."""
+    if beta is None:
+        beta = projector_gains(scenario.presumed)
+    return beta**2 / _ball_radius(scenario) ** 2
+
+
+def _remark1(ratio: np.ndarray, k_users: int, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    margin = ratio - (1.0 + np.sqrt((k_users - 1.0) * gamma)) ** 2
+    return margin, ratio >= (k_users + 1.0) ** 2
+
+
+def _direction(scenario: ChannelScenario, norms: np.ndarray, smin: float) -> np.ndarray:
+    ratio = norms**2 / scenario.uncertainty.radius ** 2
+    return ratio * smin**2 - _threshold(scenario.n_users, scenario.gamma)
+
+
 def theorem1_margin(scenario: ChannelScenario) -> np.ndarray:
     """A-priori rank-one margin for the ball error model.
 
@@ -63,9 +81,7 @@ def theorem1_margin(scenario: ChannelScenario) -> np.ndarray:
     margins for all users certify that every optimal covariance is rank one.
     """
     _require_model(scenario, "sphere")
-    beta = projector_gains(scenario.presumed)
-    ratio = beta**2 / scenario.uncertainty.radius ** 2
-    return ratio - _threshold(scenario.n_users, scenario.gamma)
+    return _gain_ratio(scenario) - _threshold(scenario.n_users, scenario.gamma)
 
 
 def remark1_margin(scenario: ChannelScenario) -> tuple[np.ndarray, np.ndarray]:
@@ -76,12 +92,7 @@ def remark1_margin(scenario: ChannelScenario) -> tuple[np.ndarray, np.ndarray]:
     ratio >= (K+1)^2 holds so the sharper threshold may be used at all.
     """
     _require_model(scenario, "sphere")
-    k = scenario.n_users
-    beta = projector_gains(scenario.presumed)
-    ratio = beta**2 / scenario.uncertainty.radius ** 2
-    applicable = ratio >= (k + 1.0) ** 2
-    margin = ratio - (1.0 + np.sqrt((k - 1.0) * scenario.gamma)) ** 2
-    return margin, applicable
+    return _remark1(_gain_ratio(scenario), scenario.n_users, scenario.gamma)
 
 
 def song_margin(scenario: ChannelScenario, v_star: float) -> np.ndarray:
@@ -115,9 +126,7 @@ def direction_margin(scenario: ChannelScenario) -> np.ndarray:
     if np.any(norms == 0.0):
         raise ValueError("direction margin needs nonzero presumed channels")
     fhat = scenario.presumed / norms
-    smin = np.linalg.svd(fhat, compute_uv=False)[-1]
-    ratio = norms**2 / scenario.uncertainty.radius ** 2
-    return ratio * smin**2 - _threshold(k, scenario.gamma)
+    return _direction(scenario, norms, np.linalg.svd(fhat, compute_uv=False)[-1])
 
 
 def cur_probability_bound(
@@ -161,9 +170,7 @@ def model_margins(scenario: ChannelScenario) -> np.ndarray:
     """
     if scenario.uncertainty.kind == "sphere":
         raise ValueError("ball scenarios use theorem1_margin")
-    thr = _threshold(scenario.n_users, scenario.gamma)
-    beta = projector_gains(scenario.presumed)
-    return beta**2 / _ball_radius(scenario) ** 2 - thr
+    return _gain_ratio(scenario) - _threshold(scenario.n_users, scenario.gamma)
 
 
 def fact3_check(lifted, mu, gamma) -> np.ndarray:
@@ -282,29 +289,27 @@ def certificate_report(
     ellipsoid = fdd = box = None
     cur = eta = None
     probability_bound = None
+    ratio = _gain_ratio(scenario, beta)
+    primary = ratio - _threshold(k, scenario.gamma)
     if kind == "sphere":
-        thm1 = theorem1_margin(scenario)
-        rem1, rem1_ok = remark1_margin(scenario)
+        thm1 = primary
+        rem1, rem1_ok = _remark1(ratio, k, scenario.gamma)
         if v_star is not None:
             song = song_margin(scenario, v_star)
         if n >= k and sigma_min is not None:
-            direction = direction_margin(scenario)
+            direction = _direction(scenario, norms, sigma_min)
             rho = norms**2 / n
             radius = scenario.uncertainty.radius
             eta, probability_bound = cur_probability_bound(
                 n, k, rho, radius, scenario.gamma
             )
             cur = rho * n / radius**2
-        primary = thm1
+    elif kind == "ellipsoid":
+        ellipsoid = primary
+    elif kind == "fdd":
+        fdd = primary
     else:
-        margins = model_margins(scenario)
-        if kind == "ellipsoid":
-            ellipsoid = margins
-        elif kind == "fdd":
-            fdd = margins
-        else:
-            box = margins
-        primary = margins
+        box = primary
 
     holds = primary > 0.0
     return CertificateReport(

@@ -9,6 +9,8 @@ exact solver for the trust-region subproblem
     maximize   e^H A e + 2 Re(b^H e)   subject to   ||e||_2 <= radius,
 
 which is the inner worst-case problem for ball-shaped channel uncertainty.
+Its boundary multiplier comes from one eigenvalue problem of order 2n
+(Adachi, Iwata, Nakatsukasa and Takeda 2017), with no iteration.
 """
 
 from __future__ import annotations
@@ -26,13 +28,11 @@ RANK_FLOOR = 1e-12
 # Hermitian symmetry slack accepted by validation helpers.
 HERM_ATOL = 1e-10
 
-_TRS_NEWTON_MAX = 100
-
 
 def is_hermitian(x: np.ndarray, atol: float = HERM_ATOL) -> bool:
     """True if x is square and equals its conjugate transpose within atol."""
     x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+    if x.ndim != 2 or x.shape[0] != x.shape[1] or not np.all(np.isfinite(x)):
         return False
     return bool(np.max(np.abs(x - x.conj().T)) <= atol * max(1.0, np.max(np.abs(x))))
 
@@ -130,10 +130,12 @@ class TrsInstance:
         lin = np.asarray(self.lin, dtype=complex).reshape(-1)
         if quad.shape != (lin.size, lin.size):
             raise ValueError("quad must be square and match lin")
+        if not (np.all(np.isfinite(quad)) and np.all(np.isfinite(lin))):
+            raise ValueError("quad and lin must be finite")
         if not is_hermitian(quad):
             raise ValueError("quad must be Hermitian")
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not (np.isfinite(self.radius) and self.radius >= 0):
+            raise ValueError("radius must be finite and nonnegative")
         object.__setattr__(self, "quad", quad)
         object.__setattr__(self, "lin", lin)
 
@@ -145,13 +147,17 @@ def _trs_value(lam: np.ndarray, bt: np.ndarray, coeff: np.ndarray) -> float:
 def trs_maximize(inst: TrsInstance) -> tuple[float, np.ndarray]:
     """Global maximum of the ball-constrained quadratic, with an argmax.
 
-    Works in the eigenbasis of quad. The stationarity condition for a global
-    maximizer is (nu I - quad) e = lin with multiplier nu >= max(0, lam_max),
-    so the boundary multiplier is located by a safeguarded Newton iteration on
-    the secular function 1/||e(nu)|| - 1/radius, which is monotone on
-    (lam_max, inf). When lin is orthogonal to the top eigenspace and the
-    limiting solution is interior (the hard case), the maximizer is completed
-    with a top-eigenvector component of the right length.
+    In quad's eigenbasis (eigenvalues lam, lin's coordinates beta) a global
+    maximizer solves (nu I - quad) e = lin with nu >= max(0, lam_max). Off
+    the interior case, nu is the root above lam_max of
+    sum |beta_i|^2 / (nu - lam_i)^2 = radius^2: the rightmost real
+    eigenvalue of [[diag(lam), I], [|beta| |beta|^T / radius^2, diag(lam)]]
+    (Adachi, Iwata, Nakatsukasa and Takeda, SIAM J. Optim. 27(1), 2017), so
+    no iteration is needed. Coefficients off the top eigenspace are
+    beta_i / (nu - lam_i); the top eigenspace takes the rest of the radius,
+    along beta there, or along a top eigenvector when beta has no weight
+    there. That covers the hard and near-hard cases, where nu sits at or
+    just above lam_max and beta_top / (nu - lam_max) loses every digit.
     """
     n = inst.lin.size
     eps = float(inst.radius)
@@ -161,7 +167,6 @@ def trs_maximize(inst: TrsInstance) -> tuple[float, np.ndarray]:
     lam, v = np.linalg.eigh(hermitian_part(inst.quad))
     bt = v.conj().T @ inst.lin
     lam_max = lam[-1]
-    scale = max(1.0, float(np.max(np.abs(lam))), float(np.linalg.norm(bt)) / eps)
 
     # Interior optimum is possible only when quad is negative definite.
     if lam_max < 0.0:
@@ -169,59 +174,23 @@ def trs_maximize(inst: TrsInstance) -> tuple[float, np.ndarray]:
         if np.linalg.norm(c0) <= eps:
             return _trs_value(lam, bt, c0), v @ c0
 
-    nu_lo = max(0.0, lam_max)
-    top = lam >= lam_max - 1e-12 * scale
-    b_top = np.linalg.norm(bt[top])
+    # Shifted by lam_max, so that nu - lam_max keeps its digits near the hard case.
+    gap = lam - lam_max
+    g = np.abs(bt)
+    mat = np.block([[np.diag(gap), np.eye(n)], [np.outer(g, g) / eps**2, np.diag(gap)]])
+    rise = max(0.0, float(np.max(np.linalg.eigvals(mat).real)))
 
-    if b_top <= 1e-14 * scale * eps:
-        # Hard case: no pole at nu_lo; the non-top part alone may be interior.
-        coeff = np.zeros(n, dtype=complex)
-        rest = ~top
-        coeff[rest] = bt[rest] / (nu_lo - lam[rest])
-        nrm = np.linalg.norm(coeff)
-        if nrm < eps:
-            t = np.sqrt(max(eps * eps - nrm * nrm, 0.0))
-            coeff[np.flatnonzero(top)[-1]] = t
-            return _trs_value(lam, bt, coeff), v @ coeff
-        # Otherwise the secular root sits strictly right of nu_lo; fall through.
-
-    def norm_at(nu: float) -> float:
-        return float(np.linalg.norm(bt / (nu - lam)))
-
-    # Bracket the root of ||e(nu)|| = eps on (nu_lo, nu_hi].
-    lo = nu_lo
-    hi = nu_lo + np.linalg.norm(bt) / eps + 1e-8 * scale
-    while norm_at(hi) > eps:
-        hi = nu_lo + 2.0 * (hi - nu_lo)
-    nu = min(hi, lo + max(float(np.linalg.norm(bt)) / eps, 1e-8 * scale))
-    if not (lo < nu <= hi):
-        nu = 0.5 * (lo + hi)
-
-    for _ in range(_TRS_NEWTON_MAX):
-        d = nu - lam
-        c2 = np.abs(bt) ** 2 / d**2
-        nrm = np.sqrt(float(np.sum(c2)))
-        if nrm > eps:
-            lo = nu
-        else:
-            hi = nu
-        if abs(nrm - eps) <= 1e-14 * eps:
-            break
-        # Newton step on 1/||e|| - 1/eps, safeguarded by the bracket.
-        dnorm2 = -2.0 * float(np.sum(c2 / d))
-        phi = 1.0 / nrm - 1.0 / eps
-        dphi = -0.5 * dnorm2 / nrm**3
-        step = -phi / dphi if dphi > 0 else np.nan
-        nu_new = nu + step
-        if not np.isfinite(nu_new) or not (lo < nu_new < hi):
-            nu_new = 0.5 * (lo + hi)
-        if abs(nu_new - nu) <= 1e-16 * max(1.0, abs(nu)):
-            nu = nu_new
-            break
-        nu = nu_new
-
-    coeff = bt / (nu - lam)
+    top = gap >= -1e-12 * max(1.0, float(np.max(np.abs(lam))))
+    coeff = np.zeros(n, dtype=complex)
+    coeff[~top] = bt[~top] / (rise - gap[~top])
     nrm = np.linalg.norm(coeff)
-    if nrm > 0:
-        coeff *= min(1.0, eps / nrm)
+    if nrm >= eps:
+        coeff *= eps / nrm
+    else:
+        rest = np.sqrt(eps * eps - nrm * nrm)
+        b_top = np.linalg.norm(bt[top])
+        if b_top > 0.0:
+            coeff[top] = rest * bt[top] / b_top
+        else:
+            coeff[np.flatnonzero(top)[-1]] = rest
     return _trs_value(lam, bt, coeff), v @ coeff

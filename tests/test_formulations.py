@@ -28,6 +28,7 @@ from robust_miso.formulations import (
 )
 from robust_miso.harness import sample_scenario
 from robust_miso.hermitian import eig_hermitian, numerical_rank, real_embedding
+from test_hermitian import trs_dual_bound
 
 
 def random_channels(rng, n, k, rho=1.0):
@@ -748,6 +749,26 @@ class TestWorstCaseMargin:
                 h = sc.presumed[:, i] + step
                 value = sc.noise_power[i] + (h.conj() @ amat @ h).real
                 assert value <= margin + 1e-9
+
+    def test_near_hard_case_margins_match_dual_bound(self):
+        """On this design user 2's worst case is a near-hard trust-region
+        subproblem: lin has almost no weight on A's top eigenvector. Every
+        margin equals sigma^2 + hbar^H A hbar plus the subproblem's dual
+        bound, and user 2's active constraint reads as active."""
+        sc = sample_scenario(25, 4, 3, 1.0, 0.1, 0.1, 2.3165)
+        outcome, index = solve_robust(sc)
+        assert outcome.status is conic.Status.OPTIMAL
+        sol = extract_solution(index, outcome)
+        radius = sc.uncertainty.radius
+        for user in range(3):
+            amat, hb = margin_matrix(sol.W, sc.gamma, user), sc.presumed[:, user]
+            noise = sc.noise_power[user]
+            const = noise + np.vdot(hb, amat @ hb).real
+            bound = const + trs_dual_bound(amat, amat @ hb, radius[user])
+            margin = worst_case_margin(sol, sc, user)
+            scale = noise + np.linalg.norm(amat, 2) * radius[user] ** 2 + abs(const)
+            assert abs(margin - bound) <= 1e-12 * scale
+        assert worst_case_margin(sol, sc, 2) >= -1e-8 * sc.noise_power[2]
 
     def test_accepts_design_solution(self):
         rng = np.random.default_rng(59)

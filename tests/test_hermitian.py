@@ -25,6 +25,60 @@ def random_unit(rng, n):
     return v / np.linalg.norm(v)
 
 
+def trs_dual_bound(quad, lin, radius):
+    """min over t >= max(0, lam_max) of t radius^2 + lin^H (t I - quad)^-1 lin.
+
+    Every such t gives an upper bound on the trust-region maximum (weak
+    duality), and the minimum equals it. The dual is convex in t, so its
+    minimizer is bracketed on the sign of the slope and halved down to
+    adjacent floats; both ends of the final bracket are upper bounds.
+    """
+    lam, vec = np.linalg.eigh(quad)
+    lo = max(0.0, lam[-1])
+    g2 = np.abs(vec.conj().T @ lin) ** 2
+    lam, g2 = lam[g2 > 0.0], g2[g2 > 0.0]
+
+    def dual(t):
+        d = t - lam
+        return t * radius**2 + np.sum(g2 / d) if np.all(d > 0.0) else np.inf
+
+    def slope(t):
+        d = t - lam
+        return radius**2 - np.sum(g2 / d**2) if np.all(d > 0.0) else -np.inf
+
+    if slope(lo) >= 0.0:
+        return dual(lo)
+    # At t - lam_max = ||lin|| / radius the slope is nonnegative.
+    hi = lo + np.sqrt(np.sum(g2)) / radius
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        lo, hi = (lo, mid) if slope(mid) >= 0.0 else (mid, hi)
+    return min(dual(lo), dual(hi))
+
+
+def near_hard_trs(rng):
+    """A trust-region instance near the hard case: the top one or two
+    eigenvalues, 1e-12 to 1e-6 apart, carry lin weight scaled by 1e-16 to 1
+    or zero. Half the radii lie within a factor 10 of the norm that the
+    rest of lin alone reaches at nu = lam_max, the others in [0.05, 3]. A
+    quarter of the instances are negative definite."""
+    n = int(rng.integers(3, 9))
+    lam = np.sort(rng.standard_normal(n))[::-1] * rng.uniform(0.1, 5.0)
+    lam[1] = lam[0] - 10 ** rng.uniform(-12, -6)
+    if rng.random() < 0.25:
+        lam -= lam[0] + rng.uniform(0.01, 1.0)
+    beta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    top = int(rng.integers(1, 3))
+    beta[:top] *= 0.0 if rng.random() < 0.25 else 10 ** rng.uniform(-16, 0)
+    rest = np.linalg.norm(beta[top:] / (lam[0] - lam[top:]))
+    radius = rest * 10 ** rng.uniform(-1, 1) if rng.random() < 0.5 else rng.uniform(0.05, 3.0)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    quad = (q * lam) @ q.conj().T
+    return 0.5 * (quad + quad.conj().T), q @ beta, float(radius)
+
+
 class TestEig:
     def test_descending_and_reconstruction(self):
         rng = np.random.default_rng(7)
@@ -220,6 +274,17 @@ class TestTrs:
         sampled += 2 * (pts @ lin.conj()).real
         assert val >= np.max(sampled) - 1e-9 * max(1.0, abs(val))
 
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_near_hard_case_matches_dual_bound(self, seed):
+        quad, lin, eps = near_hard_trs(np.random.default_rng(seed))
+        val, e = trs_maximize(TrsInstance(quad, lin, eps))
+        tol = 1e-10 * (1.0 + abs(val) + np.linalg.norm(quad, 2) * eps**2)
+        assert abs(val - trs_dual_bound(quad, lin, eps)) <= tol
+        assert np.linalg.norm(e) <= eps * (1 + 1e-12)
+        attained = (e.conj() @ quad @ e).real + 2 * (lin.conj() @ e).real
+        assert abs(attained - val) <= tol
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             TrsInstance(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros(2), 1.0)
@@ -227,3 +292,12 @@ class TestTrs:
             TrsInstance(np.eye(2), np.zeros(2), -1.0)
         with pytest.raises(ValueError):
             TrsInstance(np.eye(3), np.zeros(2), 1.0)
+        for radius in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                TrsInstance(np.eye(2), np.zeros(2), radius)
+        with pytest.raises(ValueError):
+            TrsInstance(np.eye(2), np.array([np.nan, 0.0]), 1.0)
+        for bad in (np.inf, np.nan):
+            assert not is_hermitian(np.diag([bad, 1.0]))
+            with pytest.raises(ValueError):
+                TrsInstance(np.diag([bad, 1.0]), np.zeros(2), 1.0)
