@@ -10,9 +10,10 @@ array. channels is either {re, im} with N x K real parts, or {seed, rho}
 to draw presumed channels reproducibly from the study sampler.
 
 Exit codes: 0 success, 1 infeasible (or a failed-but-conclusive audit),
-2 solver failure, 3 bad input. Reports are JSON, studies are CSV; both are
-written atomically (temp file then rename) and round-trip losslessly since
-floats are serialized with shortest-repr decimals.
+2 solver failure, 3 bad input, a scenario too large for memory included.
+Reports are JSON, studies are CSV; both are written atomically (temp file
+then rename) and round-trip losslessly since floats are serialized with
+shortest-repr decimals.
 """
 
 from __future__ import annotations
@@ -495,6 +496,10 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except MemoryError as exc:
+        # numpy's message names the bytes and the shape it could not allocate.
+        print(f"error: scenario too large for memory: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -7,7 +7,10 @@ targets, and a channel error model) into standard-form conic programs:
     channel in the per-user error set, for four error models: ball,
     ellipsoid, direction-quantized feedback, and elementwise box;
   * the fixed-channel power-minimization primal and its multiplier dual;
-  * the pair of programs that bound a single dual multiplier from above.
+  * the pair of programs that bound a single dual multiplier from above;
+  * each user's worst-case constraint value over its error set, exact for
+    the ball, ellipsoid and feedback sets (each one trust-region subproblem
+    for hermitian.trs_maximize) and bracketed for the box.
 
 Complex Hermitian unknowns enter the real solver through their 2n x 2n
 symmetric embedding, which only _herm_coeff (solver rows of tr(F X)) and
@@ -609,36 +612,29 @@ def _fdd_worst(amat: np.ndarray, hdir: np.ndarray, delta: float) -> float:
     """Maximum of u^H amat u over unit vectors u with Re(hdir^H u) >= c,
     c = 1 - delta^2 / 2: the feedback set of a unit-norm channel.
 
-    The quadratic is unchanged by u -> e^{j theta} u, so the maximum is also
-    the one over |hdir^H u| >= c, two homogeneous quadratics on the unit
-    sphere. The complex S-lemma with one constraint is tight (Polik and
-    Terlaky 2007; Huang and Zhang 2007), so for c > 0 the value is
-
-        min over t >= 0 of lam_max(amat + t (hdir hdir^H - c^2 I)),
-
-    and lam_max(amat) otherwise. The minimized function is convex with
-    slope |hdir^H v|^2 - c^2 at the top eigenvector v, and the slope is
-    nonnegative at t_hi = (lam_max(amat) - hdir^H amat hdir) / (1 - c^2).
-    [0, t_hi] is halved on the sign of the slope, unless the slope is
-    already nonnegative at t = 0, where lam_max(amat) is attained in the
-    set. Each lam_max seen bounds the maximum from above (weak duality), and
-    the smallest one is returned.
+    The quadratic is unchanged by u -> e^{j theta} u, so the constraint may
+    read |hdir^H u| >= c. When c <= 0 or a top eigenvector of amat meets it,
+    the value is lam_max(amat). Otherwise the maximum lies on |hdir^H u| = c
+    (on the sphere a local maximum of the quadratic off the constraint is a
+    top eigenvector), at u = c hdir + s Q v with s^2 = 1 - c^2, Q an
+    orthonormal basis of the complement of hdir and ||v|| = 1: a
+    trust-region subproblem in v with B = Q^H amat Q and b = Q^H amat hdir.
+    B is shifted by mu >= 0 until it is PSD, which puts the ball maximum on
+    the sphere, where the shift adds exactly s^2 mu.
     """
     lam, vec = np.linalg.eigh(amat)
-    best, c2 = lam[-1], (1.0 - 0.5 * delta**2) ** 2
-    if delta**2 >= 2.0 or abs(np.vdot(hdir, vec[:, -1])) ** 2 >= c2:
-        return float(best)
-    shift = np.outer(hdir, hdir.conj()) - c2 * np.eye(hdir.size)
+    c = 1.0 - 0.5 * delta**2
+    if c <= 0.0 or abs(np.vdot(hdir, vec[:, -1])) >= c:
+        return float(lam[-1])
     # 1 - c^2 without cancellation at small delta.
-    lo, hi = 0.0, (lam[-1] - np.vdot(hdir, amat @ hdir).real) / (delta**2 * (1.0 - 0.25 * delta**2))
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        lam, vec = np.linalg.eigh(amat + mid * shift)
-        best = min(best, lam[-1])
-        lo, hi = (lo, mid) if abs(np.vdot(hdir, vec[:, -1])) ** 2 > c2 else (mid, hi)
-    return float(best)
+    s2 = delta**2 * (1.0 - 0.25 * delta**2)
+    # The last N - 1 right singular vectors of hdir^H span its complement.
+    q = np.linalg.svd(hdir.conj()[None, :])[2][1:].conj().T
+    quad = hermitian_part(q.conj().T @ amat @ q)
+    mu = max(0.0, -np.linalg.eigvalsh(quad)[0])
+    lin = c * np.sqrt(s2) * (q.conj().T @ amat @ hdir)
+    val, _ = trs_maximize(TrsInstance(s2 * (quad + mu * np.eye(hdir.size - 1)), lin, 1.0))
+    return float(c * c * np.vdot(hdir, amat @ hdir).real + val - s2 * mu)
 
 
 def worst_case_margin(design, scenario: ChannelScenario, user: int):
@@ -651,8 +647,10 @@ def worst_case_margin(design, scenario: ChannelScenario, user: int):
     so a nonpositive result means the robust rate constraint holds. The
     maximum is exact for ball and ellipsoid sets (trust-region subproblem,
     after whitening for the ellipsoid). It is exact for the feedback set
-    too, from the one-constraint complex S-lemma on the sphere of the
-    presumed norm; that value is returned as both ends of a (lower, upper)
+    too: on the sphere of the presumed norm the maximum lies at a top
+    eigenvector or on the edge of the cap around the presumed direction,
+    and the edge is a trust-region subproblem on that direction's
+    complement; the value is returned as both ends of a (lower, upper)
     pair. The box has no tractable exact oracle here, so it gets a bracket:
     the upper end from the circumscribed ball, the lower end from
     deterministic sampling. For N <= 8 the lower end is the exact maximum

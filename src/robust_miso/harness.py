@@ -36,10 +36,11 @@ from .formulations import (
 from .hermitian import hermitian_part, numerical_rank
 
 THREADS_ENV = "ROBUST_MISO_THREADS"
-# Largest antenna count N and user count K accepted from a caller. A robust
-# design has K (N + 1)^2 equality rows and a dense Schur complement of that
-# order, so designs run out of memory far below this; the bound only keeps
-# an absurd N or K from reaching an allocation.
+# Largest antenna count N and user count K accepted from a caller. The bound
+# only rejects absurd N or K early: a robust design has K (N + 1)^2 equality
+# rows and a dense Schur complement of that order, so designs run out of
+# memory far below it (N = 1024, K = 1 asks for terabytes while the program
+# is built), and the CLI reports that MemoryError as bad input.
 MAX_DIMENSION = 1024
 
 

@@ -208,6 +208,20 @@ class TestSolveCommand:
         assert rc == 3
         assert not out.exists()
 
+    def test_out_of_memory_exits_three_without_output(self, tmp_path, capsys, monkeypatch):
+        # A scenario within MAX_DIMENSION can still be too large to build.
+        message = "Unable to allocate 16.1 TiB for an array"
+
+        def too_large(scenario):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "build_robust_sdp", too_large)
+        out = tmp_path / "report.json"
+        path = write_scenario(tmp_path, single_user_mapping())
+        assert cli.main(["solve", "--scenario", path, "--out", str(out)]) == cli.EXIT_BAD_INPUT
+        assert f"error: scenario too large for memory: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exits_three(self, tmp_path):
         rc = cli.main(["solve", "--scenario", str(tmp_path / "nope.json")])
         assert rc == 3

@@ -24,6 +24,7 @@ from robust_miso.formulations import (
     _ball_radius,
     _box_corner_max,
     _box_samples,
+    _fdd_worst,
     worst_case_margin,
 )
 from robust_miso.harness import sample_scenario
@@ -696,6 +697,23 @@ def fdd_members(rng, count, hb, delta):
     return nrm * (alpha[:, None] * hdir[None, :] + beta[:, None] * d)
 
 
+def near_hard_fdd(rng):
+    """A feedback instance whose unit direction hdir has almost no weight on
+    amat's top eigenvector: N = 2-8, the top two eigenvalues 1e-12 to 1e-6
+    apart, hdir's weight on the top one 1e-12 to 1e-2 or zero, and delta
+    from 0.001 to 1.4 (log-uniform)."""
+    n = int(rng.integers(2, 9))
+    lam = np.sort(rng.standard_normal(n))[::-1] * rng.uniform(0.1, 5.0)
+    lam[1] = lam[0] - 10 ** rng.uniform(-12, -6)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    amat = (q * lam) @ q.conj().T
+    rest = q[:, 1:] @ (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
+    weight = 0.0 if rng.random() < 0.25 else 10 ** rng.uniform(-12, -2)
+    hdir = weight * q[:, 0] + rest / np.linalg.norm(rest)
+    delta = 10 ** rng.uniform(-3, np.log10(1.4))
+    return 0.5 * (amat + amat.conj().T), hdir / np.linalg.norm(hdir), float(delta)
+
+
 def assert_fdd_exact(w, sc, user):
     """The fdd margin's ends are equal, fdd_witness is a member to 1e-12,
     and its value matches the ends to 1e-12 of sigma^2 + R^2 ||A||."""
@@ -971,6 +989,30 @@ class TestWorstCaseMargin:
             assert np.max(np.linalg.norm(chans - hb, axis=1)) <= delta * np.linalg.norm(hb) * (1 + 1e-12)
             sampled = 0.1 + np.einsum("sn,nm,sm->s", chans.conj(), amat, chans).real.max()
             assert sampled <= value + 1e-12 * (0.1 + np.vdot(hb, hb).real * np.linalg.norm(amat, 2))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_fdd_near_hard_matches_witness(self, seed):
+        amat, hdir, delta = near_hard_fdd(np.random.default_rng(seed))
+        h = fdd_witness(amat, hdir, delta)
+        tol = 1e-12 * (1.0 + np.linalg.norm(amat, 2))
+        assert abs(_fdd_worst(amat, hdir, delta) - np.vdot(h, amat @ h).real) <= tol
+
+    def test_fdd_top_eigenvalue_returned_exactly(self):
+        """With c = 1 - delta^2 / 2 <= 0, or with amat's top eigenvector
+        inside the cap |hdir^H u| >= c, the value is lam_max(amat) itself."""
+        rng = np.random.default_rng(41)
+        for n in (2, 4, 7):
+            amat = random_hermitian(rng, n)
+            lam, vec = np.linalg.eigh(amat)
+            other = vec[:, 0] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            for delta in (np.sqrt(2.0), 1.5, 2.5):
+                hdir = random_channels(rng, n, 1)[:, 0]
+                assert _fdd_worst(amat, hdir / np.linalg.norm(hdir), delta) == lam[-1]
+            for delta, angle in ((0.1, 0.0), (0.1, 0.09), (0.6, 0.5)):
+                # |hdir^H v| = cos(angle) >= 1 - delta^2 / 2.
+                hdir = np.cos(angle) * vec[:, -1] + np.sin(angle) * other
+                assert _fdd_worst(amat, hdir, delta) == lam[-1]
 
     def test_rejects_bad_user(self):
         rng = np.random.default_rng(61)
