@@ -11,6 +11,8 @@ to draw presumed channels reproducibly from the study sampler.
 
 Exit codes: 0 success, 1 infeasible (or a failed-but-conclusive audit),
 2 solver failure, 3 bad input, a scenario too large for memory included.
+audit checks its scenario and --samples before it solves, so an input it
+cannot audit exits 3 even when the design is infeasible.
 Reports are JSON, studies are CSV; both are written atomically (temp file
 then rename) and round-trip losslessly since floats are serialized with
 shortest-repr decimals.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -46,6 +49,7 @@ from .harness import (
     MAX_DIMENSION,
     StudyConfig,
     certificate_study,
+    check_duality_audit,
     counterexample_instance,
     duality_audit,
     gap_audit,
@@ -393,6 +397,10 @@ def cmd_counterexample(args) -> int:
 
 def cmd_audit(args) -> int:
     scenario = load_scenario(args.scenario)
+    try:
+        check_duality_audit(scenario, args.samples)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     program, index = build_robust_sdp(scenario)
     outcome = conic.solve(program)
     if outcome.status is not conic.Status.OPTIMAL:
@@ -423,6 +431,8 @@ def cmd_audit(args) -> int:
     return EXIT_OK if passed else EXIT_INFEASIBLE
 
 
+# One parser per process: parsing does not change it.
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="robust-miso",
@@ -483,9 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags; normalize to the bad-input code.
         return EXIT_OK if exc.code == 0 else EXIT_BAD_INPUT

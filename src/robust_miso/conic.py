@@ -25,12 +25,17 @@ complementarity right-hand side h, the predictor's h is -lambda (the scaled
 point F^-1 x = F^T s), and the step lengths and the Mehrotra term read xbar
 and sbar directly. dx = F xbar and ds = F^-T sbar are formed once per
 iteration, for the update. On a PSD block, F, F^T and F^-T share one
-congruence M^T V M, with M = R^T, R or R^-1 for the NT factor R.
+congruence M^T V M, with M = R^T, R or R^-1 for the NT factor R. The
+iteration starts at x = s = e, where the NT scaling is the identity: the
+Cholesky factors and the SVD of an identity matrix are exactly the
+identity, so the first iteration takes R = R^-1 = I and lambda = e without
+factoring, to the same bits. Later iterations factor x and s of a part in
+one stacked Cholesky.
 
-One block layout drives every batched operation. It is read once per solve
-from the row-major list of A's nonzeros: the support of a cone block is the
-set of rows of A with a nonzero in its columns (the NonNeg columns count as
-one block), and every block belongs to exactly one part, the blocks of one
+One block layout drives every batched operation. It is read from the cone
+list and the row-major list of A's nonzeros: the support of a cone block is
+the set of rows of A with a nonzero in its columns (the NonNeg columns count
+as one block), and every block belongs to exactly one part, the blocks of one
 kind, order and support size. The NT scaling, the step lengths and the
 Newton right-hand sides loop over the parts; so do G and the Schur
 complement, which are formed only on the (row, block) pairs of the parts
@@ -47,10 +52,19 @@ builds do not contract these sums into FMA). np.add.reduceat would round
 differently: it sums each segment pairwise. A whole layout, every block full
 and in x's column order as in the m = 3 programs, takes A's own products,
 which cost less than scipy's call there. Every part gathers its blocks from
-an n-vector with one take through a table built once per solve (the position
-of every matrix entry, divided by its svec scale), and scatters them back
-with one take of the upper triangles. The Schur complement is factored and
-solved by LAPACK potrf and potrs, called directly.
+an n-vector with one take through a table built with the layout (the
+position of every matrix entry, divided by its svec scale), and scatters
+them back with one take of the upper triangles. The Schur complement is
+factored and solved by LAPACK potrf and potrs, called directly.
+
+The layout depends on A's nonzero positions, not on its values, so solves
+of one pattern share it: a module-level cache keeps the layouts of the
+last _PATTERN_CACHE patterns, keyed by the cone list, m and the sha256 of
+the nonzero list, read-only. It holds no per-solve array: A's values, its
+CSR copy, the factoring of a full part (which depends on the values), the
+place of each part in G's full matrix and every buffer belong to the
+solve. The duality audit's m = 3 programs and the Monte-Carlo trials at
+one shape and model each reuse one layout.
 
 A full-support PSD part whose A columns span r < d of its blocks' d svec
 dimensions, and whose rows combine its q blocks in groups, is factored once
@@ -112,7 +126,9 @@ embedding (see robust_miso.hermitian.real_embedding).
 from __future__ import annotations
 
 import enum
+import hashlib
 import itertools
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -395,22 +411,28 @@ class _Part:
 
     order is the matrix order of PSD blocks, or None for the NonNeg block
     (every NonNeg column, as one block). cols (q, d) holds the blocks'
-    columns and rows (q, size) their supports. A part stored in the full
-    matrix has rows None and keeps its values at columns `full` of that
-    matrix; a factored part (see _Factored) has rows None and keeps none
-    there. entries (q, p*p) holds the position in an n-vector of every
-    matrix entry of every block and dec their svec divisors, so one take
-    gathers a part; upper and enc are the svec table of its order.
+    columns and rows (q, size) their supports. A part with rows None goes
+    to G's full matrix, unless the solve factors it (see _Factored); where
+    in that matrix is the workspace's. entries (q, p*p) holds the position
+    in an n-vector of every matrix entry of every block and dec their svec
+    divisors, so one take gathers a part; diag (q, p) holds the positions of
+    the blocks' diagonals, or the NonNeg columns; upper and enc are the svec
+    table of its order. A part depends on A's nonzero positions only, and
+    its arrays are read-only: a _Pattern shares it across solves.
     """
 
     def __init__(self, order: int | None, cols: np.ndarray, rows: np.ndarray | None):
+        # Read-only before any view of them is taken: the views inherit it.
+        for table in (cols, rows):
+            if table is not None:
+                table.flags.writeable = False
         self.order, self.cols, self.rows = order, cols, rows
         self.col_index = _index(cols)
-        self.full: slice | None = None
-        self.entries = cols
+        self.entries = self.diag = cols
         if order is not None:
             self.upper, self.enc, pos = _svec_index(order)
             self.entries, self.dec = cols[:, pos], self.enc[pos]
+            self.diag = cols[:, pos[:: order + 1]]
         if rows is not None:
             self.row_index = _index(rows)
             self.squares = []
@@ -435,8 +457,9 @@ class _Part:
         out[self.col_index] = blocks.ravel()
 
 
-class _Workspace:
-    """Cone layout and the (row support, cone block) pattern of A.
+class _Pattern:
+    """Cone layout and the (row support, cone block) pattern of A: what a
+    solve reads from the cone list and A's nonzero positions alone.
 
     The support of a block is the set of rows of A with a nonzero in the
     block's columns; the NonNeg columns count as one block. Every block
@@ -444,41 +467,30 @@ class _Workspace:
     layout lists them all, NonNeg first, and drives the NT scaling, the step
     lengths and the Newton right-hand sides. parts leaves out the blocks
     with empty support and drives G = A F and its products. Blocks supported
-    on every row share one full matrix, unless their part is factored (see
-    _Factored); the others are stored on their support rows only. A block
-    whose support square exceeds half of m x m joins the full matrix too:
-    the full product is symmetric, so there it costs less than the square.
-
-    a_mats holds A's PSD blocks as matrices on their support rows, or for a
-    factored part the matrices of its basis, which every block shares; g
-    and schur hold G and the Schur complement, then its factor, for every
-    iteration; g_chunks holds the views that scaled_gram writes G through.
-    a_dot and a_tdot are the products with A and A^T: of its CSR copy and
-    that copy's CSC transpose, or of A itself when the layout is whole.
+    on every row go to one full matrix (see _Workspace); the others are
+    stored on their support rows only. A block whose support square exceeds
+    half of m x m joins the full matrix too: the full product is symmetric,
+    so there it costs less than the square. nu is the barrier parameter, e
+    the cone identity and lam_pos the positions of lambda's nonzeros, the
+    layout's diagonals in its order. Every array is read-only, so solves
+    that share the pattern share one _Pattern (see _pattern).
     """
 
-    def __init__(self, prog: ConicProgram):
-        self.prog = prog
-        self.nu = sum(k.barrier for k in prog.cones)
-        self.e = cone_identity(prog.cones)
-
-        a = prog.A
-        m, n = a.shape
-        bounds = np.cumsum([0] + [k.dim for k in prog.cones])
+    def __init__(self, cones: tuple[Cone, ...], m: int, n: int, flat: np.ndarray):
+        self.nu = sum(k.barrier for k in cones)
+        self.e = cone_identity(cones)
+        bounds = np.cumsum([0] + [k.dim for k in cones])
         ranges = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        # A's nonzeros, read once in row-major order; np.flatnonzero(a) on the
-        # floats would take longer than on a != 0.
-        flat = np.flatnonzero(a != 0)
         nz_rows, nz_cols = divmod(flat, n)
         # touched[i, r]: cone i has a nonzero in row r of A.
-        touched = np.zeros((len(prog.cones), m), dtype=bool)
+        touched = np.zeros((len(cones), m), dtype=bool)
         touched[np.searchsorted(bounds, nz_cols, side="right") - 1, nz_rows] = True
-        nn = [i for i, k in enumerate(prog.cones) if isinstance(k, NonNeg)]
+        nn = [i for i, k in enumerate(cones) if isinstance(k, NonNeg)]
         blocks = []
         if nn:
             blocks.append((None, np.concatenate([ranges[i] for i in nn]), touched[nn].any(axis=0)))
         blocks += [
-            (k.order, ranges[i], touched[i]) for i, k in enumerate(prog.cones) if isinstance(k, Psd)
+            (k.order, ranges[i], touched[i]) for i, k in enumerate(cones) if isinstance(k, Psd)
         ]
         keyed: dict[tuple, list] = {}
         for order, block_cols, hit in blocks:
@@ -491,6 +503,64 @@ class _Workspace:
             rows = np.stack([r for _, r in members]) if 2 * size * size <= m * m else None
             self.layout.append(_Part(order, np.stack([c for c, _ in members]), rows))
         self.parts = [p for p in self.layout if p.rows is None or p.rows.size]
+        self.lam_pos = np.concatenate([p.diag.ravel() for p in self.layout])
+        for obj in [self, *self.layout]:
+            for value in vars(obj).values():
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+
+
+# Patterns of recent solves, keyed by the cone tuple, m and the sha256 of A's
+# row-major nonzero list, least recently used first. At most _PATTERN_CACHE:
+# a Monte-Carlo study or an audit uses a few, tools/solve_digest.py's seeded
+# set 20. A pattern holds about 9 KB of tables at 4x3 and 52 KB at 8x7.
+_PATTERNS: dict[tuple, _Pattern] = {}
+_PATTERN_CACHE = 32
+_PATTERN_LOCK = threading.Lock()
+
+
+def _pattern(cones: list[Cone], m: int, n: int, flat: np.ndarray) -> _Pattern:
+    """The _Pattern of A's nonzeros at flat (row-major positions in an m x n
+    A) under the cones, moved to the recent end, or built on a miss."""
+    key = (tuple(cones), m, hashlib.sha256(flat).digest())
+    with _PATTERN_LOCK:
+        pattern = _PATTERNS.pop(key, None)
+        if pattern is not None:
+            _PATTERNS[key] = pattern
+            return pattern
+    pattern = _Pattern(key[0], m, n, flat)
+    with _PATTERN_LOCK:
+        _PATTERNS[key] = pattern
+        while len(_PATTERNS) > _PATTERN_CACHE:
+            del _PATTERNS[next(iter(_PATTERNS))]
+    return pattern
+
+
+class _Workspace:
+    """A solve's values on its _Pattern: A's values, the products with A and
+    the buffers of every iteration.
+
+    layout, parts, nu and e are the pattern's. Blocks supported on every row
+    share one full matrix, unless their part is factored (see _Factored),
+    which depends on A's values. a_mats holds A's PSD blocks as matrices on
+    their support rows, or for a factored part the matrices of its basis,
+    which every block shares; g and schur hold G and the Schur complement,
+    then its factor, for every iteration; g_chunks holds the views that
+    scaled_gram writes G through. a_dot and a_tdot are the products with A
+    and A^T: of its CSR copy and that copy's CSC transpose, or of A itself
+    when the layout is whole.
+    """
+
+    def __init__(self, prog: ConicProgram):
+        self.prog = prog
+        a = prog.A
+        m, n = a.shape
+        # A's nonzeros, read once in row-major order; np.flatnonzero(a) on the
+        # floats would take longer than on a != 0.
+        flat = np.flatnonzero(a != 0)
+        self.pattern = _pattern(prog.cones, m, n, flat)
+        self.layout, self.parts = self.pattern.layout, self.pattern.parts
+        self.nu, self.e = self.pattern.nu, self.pattern.e
 
         # A's (q, size, d) values per part; a view for a full part on one run.
         a_vals = {
@@ -510,12 +580,13 @@ class _Workspace:
                 continue
             self.a_mats[p], low_rank[p] = factored
 
+        # Each full part's columns of G's full matrix.
         full = [p for p in self.parts if p.rows is None and p not in low_rank]
         full.sort(key=lambda p: p.cols[0, 0])
-        stop = 0
+        offsets, stop = {}, 0
         for part in full:
-            part.full = slice(stop, stop + part.cols.size)
-            stop = part.full.stop
+            offsets[part] = slice(stop, stop + part.cols.size)
+            stop += part.cols.size
         runs = [p.cols.ravel() for p in full]
         self.full_cols = _index(np.concatenate(runs) if runs else np.zeros(0, dtype=int))
         # G's rounding depends on the memory order of its stores: a narrow PSD
@@ -526,7 +597,7 @@ class _Workspace:
             for p in self.parts if p.rows is not None
         }
         g_full = np.empty((m, stop), order="C" if isinstance(self.full_cols, slice) else "F")
-        self.g = _Patterned(self.full_cols, g_full, narrow, low_rank, n)
+        self.g = _Patterned(self.full_cols, g_full, offsets, narrow, low_rank, n)
         self.schur = np.empty((m, m))
         # Products with A itself read only its nonzeros, through one CSR copy
         # of A and its transpose, a CSC view of the same arrays, unless every
@@ -537,10 +608,12 @@ class _Workspace:
         # workspace's memory.
         self.a_dot, self.a_tdot = a.__matmul__, a.T.__matmul__
         if not self.g.whole:
+            nz_rows, nz_cols = divmod(flat, n)
             indptr = np.searchsorted(nz_rows, np.arange(m + 1)).astype(np.int32)
             csr = csr_array((a.ravel()[flat], nz_cols.astype(np.int32), indptr), shape=(m, n))
             self.a_dot, self.a_tdot = csr.__matmul__, csr.T.__matmul__
-        del flat, nz_rows, nz_cols
+            del nz_rows, nz_cols
+        del flat
         self.g_chunks = self._chunk_views(a_vals)
 
     def _chunk_views(self, a_vals: dict) -> dict:
@@ -627,15 +700,17 @@ class _Patterned:
     """An m x n matrix that is zero outside A's (row support, block) pattern.
 
     full holds the columns of every full-support block side by side, in the
-    order of ws.full_cols, except those of the factored parts, which
-    low_rank maps to their _Factored form; narrow maps every other part to
-    its (q, size, d) values on its support rows and block_grams to a buffer
-    of their squares. The scaled Gram G = A F is formed and multiplied only
-    on A's pairs.
+    order of ws.full_cols, and offsets each part's slice of them, except
+    those of the factored parts, which low_rank maps to their _Factored
+    form; narrow maps every other part to its (q, size, d) values on its
+    support rows and block_grams to a buffer of their squares. The scaled
+    Gram G = A F is formed and multiplied only on A's pairs.
     """
 
-    def __init__(self, full_cols, full: np.ndarray, narrow: dict, low_rank: dict, n: int):
-        self.full_cols, self.full, self.n = full_cols, full, n
+    def __init__(
+        self, full_cols, full: np.ndarray, offsets: dict, narrow: dict, low_rank: dict, n: int
+    ):
+        self.full_cols, self.full, self.offsets, self.n = full_cols, full, offsets, n
         self.narrow, self.low_rank = narrow, low_rank
         self.block_grams = {p: np.empty(v.shape[:2] + v.shape[1:2]) for p, v in narrow.items()}
         # Every block is in the full matrix, in x's column order: the
@@ -653,7 +728,7 @@ class _Patterned:
         if part in self.low_rank:
             return self.low_rank[part].ms
         q, d = part.cols.shape
-        return self.full[:, part.full].reshape(-1, q, d).transpose(1, 0, 2)
+        return self.full[:, self.offsets[part]].reshape(-1, q, d).transpose(1, 0, 2)
 
     def dot(self, u: np.ndarray) -> np.ndarray:
         out = self.full @ u[self.full_cols]
@@ -732,16 +807,16 @@ class _Scaling:
     def __init__(self, ws: _Workspace, x: np.ndarray, s: np.ndarray):
         self.ws = ws
         self.R, self.Rt, self.Rinv, self.lam, self.isq = {}, {}, {}, {}, {}
+        xs = np.stack([x, s])
         for part in ws.layout:
-            xm, sm = part.gather(x), part.gather(s)
             if part.order is None:
+                xm, sm = part.gather(xs)
                 if np.any(xm <= 0) or np.any(sm <= 0):
                     raise np.linalg.LinAlgError("nonnegative block left the interior")
                 self.R[part] = np.sqrt(xm / sm)
                 self.lam[part] = np.sqrt(xm * sm)
                 continue
-            lx = np.linalg.cholesky(xm)
-            ls = np.linalg.cholesky(sm)
+            lx, ls = np.linalg.cholesky(part.gather(xs))
             u, sig, vt = np.linalg.svd(np.matmul(_t(ls), lx))
             if np.any(sig <= 0):
                 raise np.linalg.LinAlgError("PSD block left the interior")
@@ -751,10 +826,30 @@ class _Scaling:
             self.Rinv[part] = np.matmul(isq[:, :, None] * _t(u), _t(ls))
             self.lam[part] = sig
             self.isq[part] = isq
-        self.lam_vec = np.empty(ws.prog.n)
-        for part, lam in self.lam.items():
-            diag = lam if part.order is None else lam[:, :, None] * np.eye(part.order)
-            part.scatter(self.lam_vec, diag)
+        # lambda is diagonal on every block: zero but on the layout's diagonals.
+        self.lam_vec = np.zeros(ws.prog.n)
+        diag = np.concatenate([lam.ravel() for lam in self.lam.values()])
+        self.lam_vec[ws.pattern.lam_pos] = diag
+
+    @classmethod
+    def identity(cls, ws: _Workspace) -> _Scaling:
+        """The scaling at x = s = e, the starting point, without factoring:
+        R = Rinv = I, lambda = 1 and lam_vec = e. The Cholesky factors and
+        the SVD of identity matrices are exactly the identity, so these are
+        the bits that __init__ computes there."""
+        self = cls.__new__(cls)
+        self.ws = ws
+        self.R, self.Rt, self.Rinv, self.lam, self.isq = {}, {}, {}, {}, {}
+        for part in ws.layout:
+            ones = np.ones(part.diag.shape)
+            self.R[part] = self.lam[part] = ones
+            if part.order is not None:
+                eye = np.broadcast_to(np.eye(part.order), part.diag.shape + (part.order,))
+                self.R[part] = self.Rinv[part] = eye
+                self.Rt[part] = _t(eye)
+                self.isq[part] = ones
+        self.lam_vec = ws.e
+        return self
 
     def _congruence(self, v: np.ndarray, mats: dict, nonneg) -> np.ndarray:
         """M^T V M on every PSD block V of v, M = mats[part]; nonneg(b, R)
@@ -916,7 +1011,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                 break
 
             mu = (float(x @ s) + tau * kappa) / (ws.nu + 1)
-            scal = _Scaling(ws, x, s)
+            # The iteration starts at x = s = e.
+            scal = _Scaling(ws, x, s) if it else _Scaling.identity(ws)
             g_mat = scal.scaled_gram()
             schur = g_mat.gram(out=ws.schur)
             jitter = 0.0
@@ -941,15 +1037,15 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                 z = sla.solve_triangular(qr_r[0], r, trans=1, check_finite=False)
                 return sla.solve_triangular(qr_r[0], z, check_finite=False)
 
-            def kkt(q1: np.ndarray, fq1: np.ndarray, q2: np.ndarray, h: np.ndarray):
+            def kkt(q1: np.ndarray, fq1: np.ndarray, q2: np.ndarray, h: np.ndarray, scale):
                 # Solve ds + A^T dy = q1, A dx = q2 with the scaled-space
                 # complementarity closure xbar + sbar = h, returning (dy, xbar);
-                # fq1 is F^T q1.
+                # fq1 is F^T q1 and scale is 1 + |q1| + |q2|, the refinement's
+                # residual scale.
                 # Everything is eliminated through the same floating-point G, so
                 # iterative refinement against the unscaled equations contracts
                 # reliably:
                 #   xbar = h - F^T q1 + G^T dy,   G G^T dy = q2 - G (h - F^T q1).
-                scale = 1.0 + _norm(q1) + _norm(q2)
                 u0 = h - fq1
 
                 def run(solver):
@@ -993,8 +1089,9 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
             fc = scal.scale_s(c)
             f_rx = scal.scale_s(-rx)
             lam = scal.lam_vec
+            r_scale = 1.0 + _norm(rx) + _norm(ry)
 
-            dy1, xb1 = kkt(c, fc, b, np.zeros(n))
+            dy1, xb1 = kkt(c, fc, b, np.zeros(n), 1.0 + c_norm + b_norm)
             # <c, dx1> - <b, dy1> equals -|xbar1|^2 when the solve is exact;
             # using that form keeps the tau denominator strictly negative.
             den = -float(xb1 @ xb1) - kappa / tau
@@ -1002,7 +1099,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                 raise np.linalg.LinAlgError("degenerate tau equation")
 
             def direction(h, d_tau_rhs):
-                dy2, xb2 = kkt(-rx, f_rx, -ry, h)
+                dy2, xb2 = kkt(-rx, f_rx, -ry, h, r_scale)
                 gt = -rt - d_tau_rhs / tau
                 dtau = (gt - float(fc @ xb2) + float(b @ dy2)) / den
                 dkap = (d_tau_rhs - kappa * dtau) / tau

@@ -32,6 +32,7 @@ import numpy as np
 from .conic import ConicProgram, NonNeg, Psd, SolveOutcome, Status, smat, svec
 from .hermitian import (
     TrsInstance,
+    all_hermitian,
     eig_hermitian,
     hermitian_from_real_embedding,
     hermitian_part,
@@ -91,7 +92,7 @@ class EllipsoidUncertainty:
         arr = np.asarray(self.shape, dtype=complex)
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError("ellipsoid shape must be stacked (K, N, N)")
-        if not all(is_hermitian(mat) for mat in arr):
+        if not all_hermitian(arr):
             raise ValueError("ellipsoid shape matrices must be Hermitian")
         if np.any(np.linalg.eigvalsh(hermitian_part(arr))[:, 0] <= ELLIPSOID_MIN_EIG):
             raise ValueError("ellipsoid shape matrices must be positive definite")
@@ -444,7 +445,7 @@ def _validated_channels(channels: np.ndarray) -> np.ndarray:
     arr = np.asarray(channels, dtype=complex)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValueError("channel matrices must be stacked (K, N, N)")
-    if not all(is_hermitian(mat) for mat in arr):
+    if not all_hermitian(arr):
         raise ValueError("channel matrices must be Hermitian")
     return hermitian_part(arr)
 

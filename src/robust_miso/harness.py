@@ -400,6 +400,15 @@ def _member_power(
     return outcome.objective
 
 
+def check_duality_audit(scenario: ChannelScenario, samples: int) -> None:
+    """Raises ValueError unless duality_audit accepts the scenario and the
+    sample count, so that a caller can check before solving the design."""
+    if scenario.uncertainty.kind != "sphere":
+        raise ValueError("duality audit needs the ball error model")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+
+
 def duality_audit(
     scenario: ChannelScenario,
     solution: DesignSolution,
@@ -415,12 +424,9 @@ def duality_audit(
     `samples - 1` member tuples are random draws. Every evaluated power is
     compared against v_star + 1e-6 and counted in violations when above.
     """
-    if scenario.uncertainty.kind != "sphere":
-        raise ValueError("duality audit needs the ball error model")
+    check_duality_audit(scenario, samples)
     if solution.Y is None:
         raise ValueError("audit needs a robust solution with multipliers")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     v_star = solution.objective
     k = scenario.n_users

@@ -37,6 +37,14 @@ def is_hermitian(x: np.ndarray, atol: float = HERM_ATOL) -> bool:
     return bool(np.max(np.abs(x - x.conj().T)) <= atol * max(1.0, np.max(np.abs(x))))
 
 
+def all_hermitian(stack: np.ndarray, atol: float = HERM_ATOL) -> bool:
+    """is_hermitian of every matrix of a stacked (K, n, n) array, in one pass."""
+    if not np.all(np.isfinite(stack)):
+        return False
+    skew = np.max(np.abs(stack - np.swapaxes(stack.conj(), -1, -2)), axis=(1, 2))
+    return bool(np.all(skew <= atol * np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))))
+
+
 def hermitian_part(x: np.ndarray) -> np.ndarray:
     """Project onto the Hermitian subspace, (x + x^H)/2; supports stacked (..., n, n)."""
     x = np.asarray(x)

@@ -501,6 +501,33 @@ class TestAuditCommand:
         path = write_scenario(tmp_path, sampled_mapping(rate=6.6582))
         assert cli.main(["audit", "--scenario", path, "--samples", "2"]) == 1
 
+    @pytest.mark.parametrize(
+        "model, samples, message",
+        [
+            ("sphere", "0", "samples must be at least 1"),
+            ("fdd", "3", "duality audit needs the ball error model"),
+        ],
+    )
+    def test_bad_audit_input_exits_three_before_solving(
+        self, tmp_path, capsys, monkeypatch, model, samples, message
+    ):
+        """A sample count below one and a non-ball scenario exit 3 before
+        the robust solve, even when the scenario is infeasible (rate 6.6582
+        exits 1 above), and write no report."""
+        def no_solve(*args, **kwargs):
+            raise AssertionError("audit solved before checking its input")
+
+        monkeypatch.setattr(cli.conic, "solve", no_solve)
+        mapping = sampled_mapping(rate=6.6582)
+        if model == "fdd":
+            mapping["uncertainty"] = {"type": "fdd", "parameters": {"direction_error": 0.3}}
+        path = write_scenario(tmp_path, mapping)
+        out = tmp_path / "audit.json"
+        argv = ["audit", "--scenario", path, "--samples", samples, "--out", str(out)]
+        assert cli.main(argv) == 3
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEntryPoints:
     def test_module_invocation(self, tmp_path):
@@ -512,6 +539,15 @@ class TestEntryPoints:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["numerical_ranks"] == [1]
+
+    def test_one_parser_keeps_no_state_between_calls(self):
+        """main parses with one parser per process; a flag given in one call
+        leaves the next call's default as it was."""
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        first = parser.parse_args(["audit", "--scenario", "a.json", "--samples", "3"])
+        second = parser.parse_args(["audit", "--scenario", "b.json"])
+        assert (first.samples, second.samples, second.scenario) == (3, 100, "b.json")
 
     def test_unknown_command_exits_three(self, capsys):
         assert cli.main(["frobnicate"]) == 3

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robust_miso.hermitian import (
+    HERM_ATOL,
     TrsInstance,
+    all_hermitian,
     eig_hermitian,
     hermitian_from_real_embedding,
     is_hermitian,
@@ -301,3 +303,25 @@ class TestTrs:
             assert not is_hermitian(np.diag([bad, 1.0]))
             with pytest.raises(ValueError):
                 TrsInstance(np.diag([bad, 1.0]), np.zeros(2), 1.0)
+
+
+def test_all_hermitian_matches_is_hermitian_per_matrix():
+    """The one-pass check of a (K, N, N) stack accepts exactly the stacks
+    whose every matrix is_hermitian accepts: skews just inside and just
+    outside HERM_ATOL times max(1, max|H|) at scales 1e-3 to 1e6, in any
+    one matrix of the stack, and NaN or inf entries."""
+    rng = np.random.default_rng(11)
+    stacks = []
+    cases = ((1e-3, 0.5, 1), (1.0, 0.5, 3), (1.0, 2.0, 3), (1e6, 0.9, 2), (1e6, 1.1, 4))
+    for scale, factor, k in cases:
+        stack = np.stack([random_hermitian(rng, 4, scale) for _ in range(k)])
+        bound = HERM_ATOL * max(1.0, float(np.max(np.abs(stack[-1]))))
+        stack[-1, 0, 1] += factor * bound
+        stacks.append(stack)
+    for bad in (np.nan, np.inf):
+        stack = np.stack([random_hermitian(rng, 3) for _ in range(2)])
+        stack[1, 2, 2] = bad
+        stacks.append(stack)
+    got = [all_hermitian(stack) for stack in stacks]
+    assert got == [all(is_hermitian(mat) for mat in stack) for stack in stacks]
+    assert got == [True, True, False, True, False, False, False]

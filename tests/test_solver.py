@@ -2,6 +2,8 @@
 
 import gc
 import itertools
+import sys
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -20,6 +22,7 @@ from robust_miso.conic import (
     Psd,
     SolverSettings,
     Status,
+    cone_dim,
     cone_distance,
     cone_identity,
     cone_min_eig,
@@ -660,7 +663,7 @@ def test_gram_on_low_rank_parts(model):
     prog, _ = build_robust_sdp(model_scenario(0, 8, 7, model))
     ws = assert_matches_dense_gram(prog)
     [(part, f)] = ws.g.low_rank.items()
-    assert part.order == 16 and part.full is None
+    assert part.order == 16 and part not in ws.g.offsets
     assert f.chat.shape == (prog.m, 64) and f.alpha.shape == (7, 7) and f.ms.shape == (7, 64, 136)
     assert f.groups == [slice(81 * g, 81 * (g + 1)) for g in range(7)]
     assert ws.g.full.shape[1] == sum(p.cols.size for p in ws.parts if p.rows is None) - 7 * 136
@@ -905,6 +908,174 @@ def test_solve_leaves_no_reference_cycle():
         tracemalloc.stop()
         gc.enable()
     assert left <= 64 * 1024
+
+
+def outcome_bytes(out):
+    """Status, iterations and the bytes of x, y and s of one outcome."""
+    arrays = [b"none" if v is None else v.tobytes() for v in (out.x, out.y, out.s)]
+    return out.status, out.iterations, *arrays
+
+
+def test_pattern_reuse_keeps_every_bit():
+    """Programs of one cone list and nonzero pattern share one _Pattern:
+    solved one after another, each returns the status, iterations and bytes
+    of x, y and s of a solve run after clearing the cache. The sets cover
+    m = 3 fixed programs, 4x3 robust designs and an 8x7 design whose W part
+    is factored."""
+    groups = [
+        [fixed_programs(4, 3, seed)[0] for seed in (0, 1)],
+        [build_robust_sdp(model_scenario(seed, 4, 3, "sphere"))[0] for seed in (0, 1, 2)],
+        [build_robust_sdp(model_scenario(seed, 8, 7, "box"))[0] for seed in (0, 1)],
+    ]
+    for progs in groups:
+        conic._PATTERNS.clear()
+        patterns = {id(_Workspace(prog).pattern) for prog in progs}
+        assert len(patterns) == 1
+        warm = [outcome_bytes(solve(prog)) for prog in progs]
+        cold = []
+        for prog in progs:
+            conic._PATTERNS.clear()
+            cold.append(outcome_bytes(solve(prog)))
+        assert warm == cold
+
+
+def test_pattern_follows_the_nonzero_positions():
+    """Equal cones and equal nonzero positions share a pattern whatever A's
+    values; zeroing one row of a block, or adding a zero row, makes a new
+    pattern whose supports differ."""
+    rng = np.random.default_rng(29)
+    prog, _, _ = feasible_instance(rng, [Psd(3), NonNeg(2), Psd(3)])
+    first = _Workspace(prog).pattern
+    scaled = replace(prog, A=2.0 * prog.A)
+    assert _Workspace(scaled).pattern is first
+    a = prog.A.copy()
+    a[0, :6] = 0.0
+    other = _Workspace(replace(prog, A=a)).pattern
+    assert other is not first
+    sizes = lambda pattern: sorted((p.order or 0, p.rows is None) for p in pattern.layout)
+    assert sizes(other) != sizes(first)
+    padded = replace(prog, A=np.vstack([prog.A, np.zeros(prog.n)]), b=np.append(prog.b, 0.0))
+    assert _Workspace(padded).pattern is not first
+
+
+def test_pattern_cache_is_bounded():
+    """The cache keeps at most _PATTERN_CACHE patterns, the most recently
+    used: a pattern used again stays while older ones are evicted."""
+    rng = np.random.default_rng(30)
+    conic._PATTERNS.clear()
+    bound = conic._PATTERN_CACHE
+    progs = []
+    for i in range(1, bound + 9):
+        a = rng.uniform(1.0, 2.0, 8) * [(i >> j) & 1 for j in range(8)]
+        progs.append(ConicProgram(c=np.ones(4), A=a.reshape(2, 4), b=np.ones(2), cones=[NonNeg(4)]))
+    kept = _Workspace(progs[0]).pattern
+    seen = []
+    for prog in progs[1:]:
+        seen.append(_Workspace(prog).pattern)
+        assert _Workspace(progs[0]).pattern is kept
+        assert len(conic._PATTERNS) <= bound
+    assert len(set(map(id, seen))) == len(seen)
+    assert len(conic._PATTERNS) == bound
+    assert _Workspace(progs[-1]).pattern is seen[-1]
+    assert _Workspace(progs[1]).pattern is not seen[0]
+
+
+def test_pattern_cache_under_threads():
+    """Eight threads look up 40 patterns, more than the cache keeps, with a
+    short switch interval: every lookup returns the pattern of its own
+    program, and the cache stays within its bound."""
+    rng = np.random.default_rng(32)
+    progs = []
+    for i in range(1, 41):
+        a = rng.uniform(1.0, 2.0, 12) * [(i >> j) & 1 for j in range(12)]
+        prog = ConicProgram(c=np.ones(6), A=a.reshape(2, 6), b=np.ones(2), cones=[Psd(1)] * 6)
+        progs.append(prog)
+
+    def signature(pattern):
+        rows = [None if p.rows is None else p.rows.tobytes() for p in pattern.layout]
+        return [p.cols.tobytes() for p in pattern.layout], rows
+
+    conic._PATTERNS.clear()
+    want = [signature(_Workspace(prog).pattern) for prog in progs]
+    assert len({str(sig) for sig in want}) == len(progs)
+    errors = []
+
+    def worker(seed):
+        order = np.random.default_rng(seed).permutation(len(progs) * 5) % len(progs)
+        try:
+            for i in order:
+                if signature(_Workspace(progs[i]).pattern) != want[i]:
+                    errors.append(i)
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(conic._PATTERNS) <= conic._PATTERN_CACHE
+
+
+def pattern_tables(pattern):
+    """Copies of every array of a pattern and of its parts."""
+    out = []
+    for obj in [pattern, *pattern.layout]:
+        for name, value in vars(obj).items():
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, name
+                out.append((name, value.copy()))
+    return out
+
+
+@pytest.mark.parametrize("program", ["robust-8x7-box", "robust-4x3-sphere"])
+def test_cached_pattern_unchanged_by_a_solve(program):
+    """A solve reads its pattern and never writes it: every array of the
+    cached pattern and of its parts is read-only and keeps its values, here
+    across an 8x7 solve whose W part is factored and a 4x3 solve."""
+    _, shape, model = program.split("-")
+    n, k = map(int, shape.split("x"))
+    prog = build_robust_sdp(model_scenario(0, n, k, model))[0]
+    ws = _Workspace(prog)
+    assert bool(ws.g.low_rank) is (shape == "8x7")
+    before = pattern_tables(ws.pattern)
+    assert solve(prog).status is Status.OPTIMAL
+    assert _Workspace(prog).pattern is ws.pattern
+    after = pattern_tables(ws.pattern)
+    assert [name for name, _ in after] == [name for name, _ in before]
+    for (name, got), (_, want) in zip(after, before):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_identity_scaling_is_the_factored_scaling_at_e():
+    """The first iteration's scaling, taken without factoring, equals the
+    NT scaling factored at x = s = e bit for bit: R, its transpose, Rinv,
+    lambda, 1 / sqrt(lambda) and lam_vec, for PSD orders 1 to 20 and the
+    blocks of the robust designs and the m = 3 programs."""
+    rng = np.random.default_rng(31)
+    cones = [NonNeg(3)] + [Psd(p) for p in range(1, 21)]
+    n = cone_dim(cones)
+    synthetic = ConicProgram(c=np.ones(n), A=rng.standard_normal((2, n)), b=np.ones(2), cones=cones)
+    progs = [synthetic, patterned_program(rng), *fixed_programs(4, 3, 0)]
+    for n, k in ((2, 2), (4, 3), (8, 3)):
+        progs.append(build_robust_sdp(model_scenario(0, n, k, "box"))[0])
+    for prog in progs:
+        ws = _Workspace(prog)
+        got, want = _Scaling.identity(ws), _Scaling(ws, ws.e.copy(), ws.e.copy())
+        for name in ("R", "Rt", "Rinv", "lam", "isq"):
+            got_parts, want_parts = getattr(got, name), getattr(want, name)
+            assert list(got_parts) == list(want_parts), name
+            for part, value in want_parts.items():
+                mine, value = np.ascontiguousarray(got_parts[part]), np.ascontiguousarray(value)
+                assert mine.shape == value.shape and mine.tobytes() == value.tobytes(), name
+        assert got.lam_vec.tobytes() == want.lam_vec.tobytes()
 
 
 def svec_round_trip(v, cones):

@@ -31,9 +31,18 @@ The sets, any of which may be named (seeded and grid when none is):
           squared ball radius r^2 on a random unitary basis, fdd at delta
           0.3 and a box of halfwidth r / sqrt(N).
 
+A set may be named twice. The solver keeps the layouts of recent sparsity
+patterns (conic._PATTERNS), so the second pass of
+
+    PYTHONPATH=src python3 tools/solve_digest.py seeded seeded
+
+reuses every layout that the first pass built; its lines must equal the
+first pass's. CI runs this check.
+
 Digests depend on the BLAS build and its thread count. The BLAS is pinned
-to one thread before numpy loads; compare runs on one machine only. CI does
-not run this script for that reason.
+to one thread before numpy loads; compare files from one machine only. The
+two passes of one run share a process, so their comparison holds on any
+BLAS build.
 """
 
 from __future__ import annotations
