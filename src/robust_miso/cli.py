@@ -201,20 +201,15 @@ def load_scenario(path: str) -> ChannelScenario:
     return scenario_from_mapping(data)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return {"re": _jsonable(value.real), "im": _jsonable(value.imag)}
-        return _jsonable(value.tolist())
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, complex):
+def _json_default(value):
+    """json.dumps's hook for what it cannot write itself: complex arrays and
+    numbers as {re, im}, real arrays as nested lists, numpy scalars as
+    Python's. numpy's float64 is a float, which json writes unaided."""
+    if np.iscomplexobj(value):
         return {"re": value.real, "im": value.imag}
-    return value
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -241,7 +236,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def emit_json(payload, out_path: str | None) -> None:
-    text = json.dumps(_jsonable(payload), indent=2) + "\n"
+    text = json.dumps(payload, indent=2, default=_json_default) + "\n"
     if out_path:
         _atomic_write(out_path, text)
     else:
@@ -360,23 +355,11 @@ def _study_config(args) -> StudyConfig:
         raise ScenarioError(str(exc)) from exc
 
 
-def cmd_rank_study(args) -> int:
-    report = rank_study(_study_config(args))
-    rows = [
-        (r.rate, r.trials, r.feasible, r.rank_one, r.thm1_holds, r.song_holds, r.failures)
-        for r in report.rows
-    ]
-    emit_csv(RANK_CSV_HEADER, rows, args.out)
-    return EXIT_OK
-
-
-def cmd_cert_study(args) -> int:
-    report = certificate_study(_study_config(args))
-    rows = [
-        (r.rate, r.thm1_prob, r.song_prob, r.feasible_prob, r.prop1_bound)
-        for r in report.rows
-    ]
-    emit_csv(CERT_CSV_HEADER, rows, args.out)
+def cmd_study(args) -> int:
+    """rank-study or cert-study: the report's rows, whose fields are in the
+    order of the CSV header, one line each."""
+    report = args.study(_study_config(args))
+    emit_csv(args.header, map(dataclasses.astuple, report.rows), args.out)
     return EXIT_OK
 
 
@@ -459,7 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     mmf.add_argument("--out", default=None)
     mmf.set_defaults(handler=cmd_mmf)
 
-    for name, handler in (("rank-study", cmd_rank_study), ("cert-study", cmd_cert_study)):
+    for name, run, header in (
+        ("rank-study", rank_study, RANK_CSV_HEADER),
+        ("cert-study", certificate_study, CERT_CSV_HEADER),
+    ):
         study = sub.add_parser(name, help=f"run a Monte-Carlo {name.replace('-', ' ')}")
         study.add_argument("--n", type=int, required=True)
         study.add_argument("--k", type=int, required=True)
@@ -470,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         study.add_argument("--trials", type=int, default=200)
         study.add_argument("--seed", type=int, default=0)
         study.add_argument("--out", required=True)
-        study.set_defaults(handler=handler)
+        study.set_defaults(handler=cmd_study, study=run, header=header)
 
     ce = sub.add_parser("counterexample", help="build and audit the worst-case-gap instance")
     ce.add_argument("--n", type=int, required=True)

@@ -116,7 +116,11 @@ eigenvalues. The handler, like the iteration limit, returns
 NUMERICAL_FAILURE carrying the best iterate seen so far and a message naming
 the cause. The only in-loop remedies are a diagonal jitter when the Schur
 complement will not factor and a QR re-solve of a KKT system that Cholesky
-solved inaccurately.
+solved inaccurately. The QR factors G^T, formed one column at a time as
+G^T e_i by the same tdot that the KKT solves apply, so it factors exactly
+the G of dot and tdot. Every outcome counts the remedies in its stats: the
+Schur factorizations that potrf rejected, and the QR re-solves tried and
+taken (whose refined residual beat Cholesky's).
 
 Free variables are not supported; callers encode them with equalities plus
 cone blocks. Complex Hermitian blocks enter through their 2n x 2n real
@@ -315,6 +319,17 @@ class SolverSettings:
                 raise ValueError(f"{name} must be positive and finite")
 
 
+@dataclass(frozen=True)
+class SolveStats:
+    """The remedies one solve took: Schur factorizations that potrf rejected
+    (each retried with a larger jitter), and QR re-solves of a KKT system
+    tried and taken, the latter when the QR's refined residual was smaller."""
+
+    schur_rejected: int = 0
+    qr_tried: int = 0
+    qr_taken: int = 0
+
+
 @dataclass
 class SolveOutcome:
     """Result of a solve.
@@ -327,6 +342,8 @@ class SolveOutcome:
     A x ~ 0 and x in the cone, both within tol_inf; cert_res is |A x|. At
     NUMERICAL_FAILURE, x, y, s and the residuals are those of the
     best-scoring iterate. Residual fields always refer to the returned point.
+    stats counts the solve's remedies over all its iterations, whatever the
+    status.
     """
 
     status: Status
@@ -341,6 +358,7 @@ class SolveOutcome:
     gap_res: float
     cert_res: float = np.nan
     message: str = ""
+    stats: SolveStats = SolveStats()
 
 
 def _index(idx: np.ndarray):
@@ -766,17 +784,6 @@ class _Patterned:
                 out[square] += blk
         return out
 
-    def dense(self) -> np.ndarray:
-        m = self.full.shape[0]
-        out = np.zeros((m, self.n))
-        out[:, self.full_cols] = self.full
-        for part, f in self.low_rank.items():
-            c = f.alpha[f.group].T[:, :, None] * f.chat
-            out[:, part.col_index] = np.matmul(c, f.ms).transpose(1, 0, 2).reshape(m, -1)
-        for part, vals in self.narrow.items():
-            out[part.rows[:, :, None], part.cols[:, None, :]] = vals
-        return out
-
 
 def _norm(v: np.ndarray) -> np.floating:
     """Euclidean norm of a real 1-d array, computed as np.linalg.norm does."""
@@ -951,6 +958,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
     # The NUMERICAL_FAILURE outcome at the best-scoring iterate so far.
     best: SolveOutcome | None = None
     best_score = np.inf
+    # The remedies taken so far, as SolveStats counts them.
+    rejected = qr_tried = qr_taken = 0
 
     def _is_ray(av: np.ndarray, cv: float) -> bool:
         """<c, v> < 0 with A v ~ 0, given av = A v: the improving-ray test."""
@@ -1006,7 +1015,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
             ax, aty = a_dot(x), a_tdot(y)
             out = _classify(it, ax, aty)
             if out is not None:
-                return out
+                return replace(out, stats=SolveStats(rejected, qr_tried, qr_taken))
             if it >= cfg.max_iter:
                 break
 
@@ -1025,6 +1034,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                 fac, info = _POTRF(schur.T, lower=True, clean=False, overwrite_a=True)
                 if info == 0:
                     break
+                rejected += 1
             else:
                 raise np.linalg.LinAlgError("Schur factorization failed")
 
@@ -1046,6 +1056,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                 # iterative refinement against the unscaled equations contracts
                 # reliably:
                 #   xbar = h - F^T q1 + G^T dy,   G G^T dy = q2 - G (h - F^T q1).
+                nonlocal qr_tried, qr_taken
                 u0 = h - fq1
 
                 def run(solver):
@@ -1071,13 +1082,17 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
 
                 state = run(schur_chol)
                 if state[-1] > 1e-11 and m <= n:
+                    qr_tried += 1
                     if qr_r[0] is None:
-                        r_full = sla.qr(g_mat.dense().T, mode="r", check_finite=False)[0]
+                        # G^T, one column G^T e_i at a time: the G that dot and tdot apply.
+                        g_t = np.array([g_mat.tdot(e) for e in np.eye(m)]).T
+                        r_full = sla.qr(g_t, mode="r", check_finite=False)[0]
                         qr_r[0] = np.ascontiguousarray(r_full[:m, :])
                     try:
                         cand = run(schur_qr)
                         if cand[-1] < state[-1]:
                             state = cand
+                            qr_taken += 1
                     except (np.linalg.LinAlgError, ValueError):
                         pass
                 return state[:2]
@@ -1141,4 +1156,5 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
             kappa = kappa + alpha * dkap
     except np.linalg.LinAlgError as exc:
         message = f"{exc}"
-    return replace(best, iterations=it, message=message)
+    stats = SolveStats(rejected, qr_tried, qr_taken)
+    return replace(best, iterations=it, message=message, stats=stats)

@@ -127,7 +127,7 @@ def numerical_rank(x: np.ndarray, tau: float = RANK_TAU) -> int:
 @dataclass(frozen=True)
 class TrsInstance:
     """Trust-region subproblem data: maximize e^H quad e + 2 Re(lin^H e)
-    over the complex ball ||e|| <= radius."""
+    over the complex ball ||e|| <= radius, in at least one dimension."""
 
     quad: np.ndarray
     lin: np.ndarray
@@ -138,6 +138,8 @@ class TrsInstance:
         lin = np.asarray(self.lin, dtype=complex).reshape(-1)
         if quad.shape != (lin.size, lin.size):
             raise ValueError("quad must be square and match lin")
+        if lin.size == 0:
+            raise ValueError("quad and lin must have at least one entry")
         if not (np.all(np.isfinite(quad)) and np.all(np.isfinite(lin))):
             raise ValueError("quad and lin must be finite")
         if not is_hermitian(quad):
@@ -169,7 +171,7 @@ def trs_maximize(inst: TrsInstance) -> tuple[float, np.ndarray]:
     """
     n = inst.lin.size
     eps = float(inst.radius)
-    if eps == 0.0 or n == 0:
+    if eps == 0.0:
         return 0.0, np.zeros(n, dtype=complex)
 
     lam, v = np.linalg.eigh(hermitian_part(inst.quad))

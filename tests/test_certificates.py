@@ -437,6 +437,24 @@ class TestCertificateReport:
         assert report.ellipsoid is not None
         np.testing.assert_array_equal(report.holds, report.ellipsoid > 0.0)
 
+    @pytest.mark.parametrize(
+        "model", [FddUncertainty(0.1), BoxUncertainty([0.05] * 2)], ids=["fdd", "box"]
+    )
+    def test_fdd_and_box_reports(self, model):
+        """The model's own field holds model_margins and decides holds; the
+        ball-only and other models' fields stay empty."""
+        hb = random_channels(np.random.default_rng(27), 4, 2)
+        sc = ChannelScenario(hb, [0.1] * 2, [1.0] * 2, model)
+        report = certificate_report(sc, v_star=0.5)
+        margins = report.fdd if model.kind == "fdd" else report.box
+        np.testing.assert_array_equal(margins, model_margins(sc))
+        other = report.box if model.kind == "fdd" else report.fdd
+        assert other is None and report.ellipsoid is None
+        assert report.theorem1 is None and report.song is None and report.cur is None
+        assert report.direction is None and report.probability_bound is None
+        np.testing.assert_array_equal(report.holds, margins > 0.0)
+        assert report.holds_all == bool(np.all(margins > 0.0))
+
     def test_wide_layout_skips_spectrum_fields(self):
         rng = np.random.default_rng(28)
         hb = random_channels(rng, 3, 4)

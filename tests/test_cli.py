@@ -259,6 +259,24 @@ class TestSolveCommand:
         stray = [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp")]
         assert stray == []
 
+    def test_out_directory_exits_three_without_temp_files(self, tmp_path, capsys):
+        """--out naming a directory: the report is written to a temp file,
+        the rename onto the directory fails, and the temp file goes."""
+        path = write_scenario(tmp_path, single_user_mapping())
+        target = tmp_path / "reports"
+        target.mkdir()
+        assert cli.main(["solve", "--scenario", path, "--out", str(target)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["reports", "scenario.json"]
+        assert list(target.iterdir()) == []
+
+    def test_out_in_missing_directory_exits_three(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, single_user_mapping())
+        out = tmp_path / "missing" / "report.json"
+        assert cli.main(["solve", "--scenario", path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
 
 class TestCertifyCommand:
     def test_orthonormal_margins(self, tmp_path, capsys):

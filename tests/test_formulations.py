@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robust_miso import conic
+from robust_miso import conic, formulations
 from robust_miso.formulations import (
     BoxUncertainty,
     ChannelScenario,
@@ -957,6 +957,19 @@ class TestWorstCaseMargin:
         rng = np.random.default_rng(45)
         sc = ChannelScenario(random_channels(rng, 4, 2), [0.1] * 2, [1.0] * 2, FddUncertainty(0.3))
         assert worst_case_margin(np.zeros((2, 4, 4), dtype=complex), sc, 1) == (0.1, 0.1)
+
+    @pytest.mark.parametrize("delta", [0.01, 0.3, 1.0, 1.9])
+    def test_fdd_single_antenna_skips_the_trs(self, delta, monkeypatch):
+        """At N = 1 the presumed direction is a top eigenvector of the 1 x 1
+        matrix, so the oracle returns lam_max before it would pose a TRS on
+        the direction's empty complement (TrsInstance rejects n = 0)."""
+
+        def no_trs(inst):
+            raise AssertionError("the N = 1 fdd oracle reached the TRS")
+
+        monkeypatch.setattr(formulations, "trs_maximize", no_trs)
+        amat = np.array([[-0.7 + 0j]])
+        assert _fdd_worst(amat, np.array([np.exp(0.4j)]), delta) == -0.7
 
     def test_fdd_witness_attains_value_on_designs(self):
         """Seeded 4x3 designs (seeds 0-5, delta 0.1, 0.3 and 0.6): every

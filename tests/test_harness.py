@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -260,8 +261,6 @@ class TestMmfRate:
         tol = 1e-2
         result = mmf_rate(sc, p_total=1.5, tol_bits=tol)
         assert result.feasible and result.power <= 1.5
-        import dataclasses
-
         above = dataclasses.replace(
             sc, rate_target=np.full(2, result.rate + 2 * tol)
         )
@@ -291,6 +290,31 @@ class TestMmfRate:
         result = mmf_rate(sc, p_total=2.0, settings=conic.SolverSettings(max_iter=1))
         assert result == MmfResult(0.0, 0.0, False, failed_probes=2)
         assert mmf_rate(sc, p_total=2.0).failed_probes == 0
+
+    def test_r_hi_accepted_outright(self, monkeypatch):
+        """A first probe that certifies the bracket's top end returns it with
+        that probe's power and makes no other solve. No scenario reaches it
+        (r_hi takes the most optimistic channel gains), so the solve reports
+        half its power."""
+        solve = conic.solve
+        statuses = []
+
+        def halved(program, settings=None):
+            out = solve(program, settings=settings)
+            statuses.append(out.status)
+            return dataclasses.replace(out, objective=0.5 * out.objective)
+
+        monkeypatch.setattr(conic, "solve", halved)
+        h = np.zeros((3, 1), dtype=complex)
+        h[0, 0] = 1.0
+        sc = ChannelScenario(h, [0.1], [1.0], SphereUncertainty([0.01]))
+        r_hi = np.log2(1.0 + 2.0 * (1.0 + 0.01) ** 2 / 0.1)
+        result = mmf_rate(sc, p_total=2.0)
+        assert statuses == [conic.Status.OPTIMAL]
+        assert result.feasible and result.failed_probes == 0
+        assert result.rate == r_hi
+        # The true robust power at r_hi: gamma sigma^2 / (1 - 0.01)^2.
+        assert result.power == pytest.approx(0.5 * 2.0 * (1.01 / 0.99) ** 2, rel=1e-6)
 
     def test_rejects_bad_tolerance(self):
         sc = sample_scenario(0, 3, 2, 1.0, 0.1, 0.04, 1.0)
@@ -360,6 +384,28 @@ class TestDualityAudit:
             assert abs(shrunk.membership_slack(scenario)) <= 1e-12 * eps2[user]
             np.testing.assert_allclose(shrunk.h, base.h, rtol=1e-6)
             np.testing.assert_allclose(shrunk.xi, base.xi, rtol=1e-6, atol=1e-9)
+
+    def test_failed_member_solves_counted(self, solved_sample):
+        # One interior-point iteration certifies no member power: every
+        # sample is a failure and none is evaluated.
+        scenario, solution = solved_sample
+        settings = conic.SolverSettings(max_iter=1)
+        report = duality_audit(scenario, solution, samples=3, settings=settings)
+        assert (report.evaluated, report.violations, report.failures) == (0, 0, 3)
+        assert report.p_best == -np.inf and report.gap == np.inf
+
+    def test_violations_counted_against_a_halved_objective(self, solved_sample):
+        # A design claiming half its power: the multiplier member's power
+        # (v_star itself) and every sampled one above v_star / 2 violate.
+        scenario, solution = solved_sample
+        honest = duality_audit(scenario, solution, samples=4, seed=1)
+        halved = dataclasses.replace(solution, objective=0.5 * solution.objective)
+        report = duality_audit(scenario, halved, samples=4, seed=1)
+        assert (report.evaluated, report.failures) == (4, 0)
+        assert honest.violations == 0 and report.violations >= 1
+        assert report.p_best == honest.p_best
+        assert report.gap == pytest.approx(report.v_star - honest.p_best)
+        assert report.gap < 0
 
     def test_rejects_design_without_multipliers(self, solved_sample):
         scenario, solution = solved_sample
@@ -514,8 +560,6 @@ class TestKktRankAudit:
 
     def test_requires_robust_solution(self, solved_sample):
         _, solution = solved_sample
-        import dataclasses
-
         stripped = dataclasses.replace(solution, Z=None, t=None)
         with pytest.raises(ValueError, match="robust"):
             kkt_rank_audit(stripped)

@@ -303,6 +303,10 @@ class TestTrs:
             assert not is_hermitian(np.diag([bad, 1.0]))
             with pytest.raises(ValueError):
                 TrsInstance(np.diag([bad, 1.0]), np.zeros(2), 1.0)
+        # Its own message, not numpy's "zero-size array to reduction
+        # operation maximum" from inside is_hermitian.
+        with pytest.raises(ValueError, match="at least one entry"):
+            TrsInstance(np.zeros((0, 0)), np.zeros(0), 1.0)
 
 
 def test_all_hermitian_matches_is_hermitian_per_matrix():

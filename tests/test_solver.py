@@ -21,6 +21,7 @@ from robust_miso.conic import (
     NonNeg,
     Psd,
     SolverSettings,
+    SolveStats,
     Status,
     cone_dim,
     cone_distance,
@@ -526,9 +527,10 @@ def stored_a(ws):
 
 
 def assert_matches_dense_gram(prog, seed=0, ws=None):
-    """The workspace's G = A F, its Schur complement G G^T (written into the
-    workspace's buffer, as solve does), A's stored values and the products
-    with A and G equal the dense reference built column by column from F."""
+    """The workspace's G = A F, read row by row as G^T e_i (the input of the
+    QR re-solve), its Schur complement G G^T (written into the workspace's
+    buffer, as solve does), A's stored values and the products with A and G
+    equal the dense reference built column by column from F."""
     rng = np.random.default_rng(seed)
     ws = ws or _Workspace(prog)
     scal = _Scaling(ws, interior_point(rng, prog.cones), interior_point(rng, prog.cones))
@@ -540,7 +542,7 @@ def assert_matches_dense_gram(prog, seed=0, ws=None):
     def close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    close(g.dense(), g_ref)
+    close(np.array([g.tdot(e) for e in np.eye(prog.m)]), g_ref)
     close(g.gram(out=ws.schur), s_ref)
     close(g.dot(u), g_ref @ u)
     close(g.tdot(y), g_ref.T @ y)
@@ -1152,23 +1154,53 @@ PINNED_JITTER = [
 
 
 @pytest.mark.parametrize("instance, pinned", PINNED_JITTER)
-def test_schur_jitter_retries_pinned(instance, pinned, monkeypatch):
+def test_schur_jitter_retries_pinned(instance, pinned):
     """A failed potrf leaves the Schur buffer partly factored; each retry
     forms the complement again and adds a larger jitter. No seeded robust
     solve takes this path, these fdd designs do."""
-    failed = []
-    potrf = conic._POTRF
-
-    def counted(*args, **kwargs):
-        fac, info = potrf(*args, **kwargs)
-        failed.append(info > 0)
-        return fac, info
-
-    monkeypatch.setattr(conic, "_POTRF", counted)
     seed, rho, sigma2, delta = instance
     sc = sample_scenario(seed, 4, 3, rho, sigma2, 1.0, 2.0)
     out = solve(build_robust_sdp(replace(sc, uncertainty=FddUncertainty(delta)))[0])
-    assert (out.status.name, out.iterations, sum(failed)) == pinned
+    assert (out.status.name, out.iterations, out.stats.schur_rejected) == pinned
+
+
+def test_remedy_counts_match_outside_wrappers(monkeypatch):
+    """SolveStats against counts taken from outside the solver: potrf's
+    rejections (info > 0), and the QR re-solves, each a run of the QR's
+    triangular solves after a run of Cholesky's potrs solves (every KKT
+    solve starts with Cholesky). The QR factors G once per iteration that
+    tries it, and takes no more re-solves than it tries. The 4x3 fdd
+    stress-grid design at sigma2 1e-5, rho 1, delta 0.9 and rate 2.0 takes
+    every remedy."""
+    calls = []
+
+    def wrap(owner, name, tag):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            result = inner(*args, **kwargs)
+            calls.append(tag(result))
+            return result
+
+        monkeypatch.setattr(owner, name, counted)
+
+    wrap(conic, "_POTRF", lambda result: "rejected" if result[1] > 0 else "potrf")
+    wrap(conic, "_POTRS", lambda _: "chol")
+    wrap(conic.sla, "solve_triangular", lambda _: "qr-solve")
+    wrap(conic.sla, "qr", lambda _: "qr")
+    sc = replace(
+        sample_scenario(1, 4, 3, 1.0, 1e-5, 1.0, 0.3),
+        rate_target=np.full(3, 2.0),
+        uncertainty=FddUncertainty(0.9),
+    )
+    out = solve(build_robust_sdp(sc)[0])
+    solves = [tag for tag in calls if tag in ("chol", "qr-solve")]
+    tried = sum(b == "qr-solve" and a == "chol" for a, b in zip(solves, solves[1:]))
+    stats = out.stats
+    assert (out.status, out.iterations) == (Status.PRIMAL_INFEASIBLE, 11)
+    assert (stats.schur_rejected, stats.qr_tried) == (calls.count("rejected"), tried)
+    assert 0 < calls.count("qr") <= stats.qr_tried
+    assert stats == SolveStats(schur_rejected=5, qr_tried=8, qr_taken=5)
 
 
 # Status and iteration count of each seeded solve, as before the Gram and
@@ -1191,20 +1223,16 @@ PINNED = {
 
 
 @pytest.mark.parametrize("shape_model", sorted(PINNED))
-def test_seeded_robust_solves_pinned(shape_model, monkeypatch):
+def test_seeded_robust_solves_pinned(shape_model):
     # None of these solves may fall back to the QR re-solve: it repairs any
     # inaccurate KKT solve, so a wrong Schur complement would otherwise keep
     # every pinned status and iteration count.
-    qr_calls = []
-    qr = conic.sla.qr
-    monkeypatch.setattr(conic.sla, "qr", lambda *args, **kw: qr_calls.append(1) or qr(*args, **kw))
     n, k, model = shape_model
     got = []
     for seed in (0, 1):
         out = solve(build_robust_sdp(model_scenario(seed, n, k, model))[0])
-        got.append((out.status.name, out.iterations))
-    assert got == PINNED[shape_model]
-    assert len(qr_calls) == 0
+        got.append((out.status.name, out.iterations, out.stats.qr_tried))
+    assert got == [pinned + (0,) for pinned in PINNED[shape_model]]
 
 
 # The fixed-channel programs (lifted channels h h^H of the seeded scenario)

@@ -2,10 +2,11 @@
 """Bit-identity digest of conic.solve over fixed seeded sets of programs.
 
 Prints one line per solve: a label, the status, the iteration count, the
-number of Schur factorizations that failed before the diagonal jitter let
-one through, the message, and one sha256 of the bytes of x, y and s. Run
-it in two checkouts and diff the outputs; a change that claims to keep
-every result must leave the two files equal:
+number of Schur factorizations that potrf rejected before the diagonal
+jitter let one through, the message, one sha256 of the bytes of x, y and s,
+and the number of QR re-solves tried and taken. The counts are the
+outcome's SolveStats. Run it in two checkouts and diff the outputs; a
+change that claims to keep every result must leave the two files equal:
 
     PYTHONPATH=src python3 tools/solve_digest.py seeded grid large > digest.txt
 
@@ -14,6 +15,11 @@ arithmetic, such as the factored W part of the 8x7 designs) compares only
 the first five fields, label to message, which must still be equal:
 
     cut -d'|' -f1-5 digest.txt
+
+Digests written before the QR counts were added have six fields; compare
+fields 1-6 with them (cut leaves the space before the seventh field's bar):
+
+    cut -d'|' -f1-6 digest.txt | sed 's/ $//'
 
 The sets, any of which may be named (seeded and grid when none is):
   seeded  85 programs: 48 robust designs (sphere, ellipsoid, fdd and box at
@@ -176,25 +182,16 @@ def main(argv: list[str]) -> int:
     if unknown:
         print(f"unknown set {unknown[0]!r}; choose from {', '.join(SETS)}", file=sys.stderr)
         return 2
-    potrf = conic._POTRF
-    failed = [0]
-
-    def counted(*args, **kwargs):
-        fac, info = potrf(*args, **kwargs)
-        failed[0] += info > 0
-        return fac, info
-
-    conic._POTRF = counted
     for name in names:
         for label, prog in SETS[name]():
-            failed[0] = 0
             out = conic.solve(prog)
             digest = hashlib.sha256()
             for v in (out.x, out.y, out.s):
                 digest.update(b"none" if v is None else v.tobytes())
+            stats = out.stats
             print(
-                f"{label} | {out.status.name} | {out.iterations} | {failed[0]} | "
-                f"{out.message} | {digest.hexdigest()}",
+                f"{label} | {out.status.name} | {out.iterations} | {stats.schur_rejected} | "
+                f"{out.message} | {digest.hexdigest()} | {stats.qr_tried} | {stats.qr_taken}",
                 flush=True,
             )
     return 0
