@@ -23,14 +23,17 @@ CVXOPT cone solvers (Vandenberghe 2010): the KKT solve returns dy and
 xbar = F^-1 dx, the scaled slack step is sbar = h - xbar for the
 complementarity right-hand side h, the predictor's h is -lambda (the scaled
 point F^-1 x = F^T s), and the step lengths and the Mehrotra term read xbar
-and sbar directly. dx = F xbar and ds = F^-T sbar are formed once per
-iteration, for the update. On a PSD block, F, F^T and F^-T share one
-congruence M^T V M, with M = R^T, R or R^-1 for the NT factor R. The
-iteration starts at x = s = e, where the NT scaling is the identity: the
-Cholesky factors and the SVD of an identity matrix are exactly the
-identity, so the first iteration takes R = R^-1 = I and lambda = e without
-factoring, to the same bits. Later iterations factor x and s of a part in
-one stacked Cholesky.
+and sbar directly. Each primal-dual pair is one stacked (2, n) array: the
+iterate (x, s), every direction (xbar, sbar) and its image (dx, ds) =
+(F xbar, F^-T sbar), formed for the update and for each residual check of
+the KKT refinement. A part gathers both rows of a pair with one take and
+scatters them with one, and every row keeps the bits it takes alone. On a
+PSD block, F, F^T and F^-T share one congruence M^T V M, with M = R^T, R or
+R^-1 for the NT factor R. The iteration starts at x = s = e, where the NT
+scaling is the identity: the Cholesky factors and the SVD of an identity
+matrix are exactly the identity, so the first iteration takes R = R^-1 = I
+and lambda = e without factoring, to the same bits. Later iterations factor
+the iterate's two rows of a part in one stacked Cholesky.
 
 One block layout drives every batched operation. It is read from the cone
 list and the row-major list of A's nonzeros: the support of a cone block is
@@ -147,7 +150,8 @@ DEFAULT_MAX_ITER = 200
 
 # Fraction-to-boundary factor for combined steps.
 _STEP_ETA = 0.99
-# Iterative refinement passes on each KKT solve.
+# Iterative refinement corrections of each KKT solve, run between its
+# _KKT_REFINE + 1 residual checks.
 _KKT_REFINE = 2
 # The Schur complement's Cholesky factor and solve, called directly rather
 # than through scipy's batching wrappers cho_factor and cho_solve.
@@ -468,11 +472,13 @@ class _Part:
         return (vals / self.dec).reshape(vals.shape[:-1] + (self.order, self.order))
 
     def scatter(self, out: np.ndarray, blocks: np.ndarray) -> None:
-        """Writes the blocks, as gather returns them, into the n-vector out."""
+        """Writes the blocks, as gather returns them, into the n-vector out or
+        the rows of a stacked (k, n) out. The columns are indexed through .T,
+        numpy's fast path for an n-vector."""
         if self.order is not None:
             flat = blocks.reshape(blocks.shape[:-2] + (-1,))
             blocks = flat.take(self.upper, axis=-1) * self.enc
-        out[self.col_index] = blocks.ravel()
+        out.T[self.col_index] = blocks.reshape(out.shape[:-1] + (-1,)).T
 
 
 class _Pattern:
@@ -698,9 +704,9 @@ class _Factored:
         return np.einsum("ir,ir->i", self.chat, w[self.group])
 
     def tdot(self, y: np.ndarray) -> np.ndarray:
-        """G^T y as (q, 1, d): M_j^T sum_g alpha[g, j] chat_g^T y_g."""
-        z = np.add.reduceat(self.chat * y[:, None], self.starts)
-        return np.matmul((self.alpha.T @ z)[:, None], self.ms)
+        """G^T y as (..., q, 1, d): M_j^T sum_g alpha[g, j] chat_g^T y_g."""
+        z = np.add.reduceat(self.chat * y[..., None], self.starts, axis=-2)
+        return np.matmul((self.alpha.T @ z)[..., None, :], self.ms)
 
     def gram(self, out: np.ndarray) -> None:
         """Adds the part's share of G G^T to the m x m out: column group h
@@ -736,7 +742,7 @@ class _Patterned:
         self.whole = isinstance(full_cols, slice) and full.shape[1] == n
         if self.whole:
             self.dot = full.__matmul__
-            self.tdot = full.T.__matmul__
+            self.tdot = full.__rmatmul__
 
     def values(self, part: _Part) -> np.ndarray:
         """(q, size, d) values of one part, or M of a factored part; a view
@@ -759,13 +765,16 @@ class _Patterned:
         return out
 
     def tdot(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n)
-        out[self.full_cols] = self.full.T @ y
+        """G^T y, or G^T y_i in row i of the output for a stacked (k, m) y.
+        The last axes are indexed through .T, numpy's fast path for 1-d y."""
+        lead = y.shape[:-1]
+        out = np.zeros(lead + (self.n,))
+        out.T[self.full_cols] = (y @ self.full).T
         for part, factored in self.low_rank.items():
-            out[part.col_index] = factored.tdot(y).ravel()
+            out.T[part.col_index] = factored.tdot(y).reshape(lead + (-1,)).T
         for part, vals in self.narrow.items():
-            w = np.matmul(y[part.row_index].reshape(part.rows.shape[0], 1, -1), vals)
-            out[part.col_index] = w.ravel()
+            w = np.matmul(y.T[part.row_index].T.reshape(lead + (len(vals), 1, -1)), vals)
+            out.T[part.col_index] = w.reshape(lead + (-1,)).T
         return out
 
     def gram(self, out: np.ndarray) -> np.ndarray:
@@ -800,32 +809,30 @@ class _Scaling:
 
     The scaling map F satisfies F^-1 x = F^T s = lambda (the scaled point).
     The Newton step is computed, combined and step-limited in scaled
-    coordinates, xbar = F^-1 dx and sbar = F^T ds, kept as plain n-vectors
-    in the same svec layout as x, which the Gram matrix G = A F acts on
-    through _Patterned.dot; dx = F xbar and ds = F^-T sbar are formed once,
-    for the update. R, Rinv and lam hold each part's factors, keyed by the
-    part, isq holds 1 / sqrt(lam) on the PSD parts, and lam_vec is lambda in
-    the svec layout. On a PSD block F V = R V R^T, F^T V = R^T V R and
-    F^-T V = Rinv^T V Rinv: one congruence M^T V M with M = R^T, R or Rinv.
-    On the NonNeg block F is the diagonal R = sqrt(x / s), and it has no
-    Rinv.
+    coordinates, as one stacked pair (xbar, sbar) = (F^-1 dx, F^T ds) in the
+    svec layout of x; G = A F acts on xbar through _Patterned.dot, and
+    unscale maps the pair to (dx, ds). R, Rinv and lam hold each part's
+    factors, keyed by the part, isq holds 1 / sqrt(lam) on the PSD parts,
+    and lam_vec is lambda in the svec layout. On a PSD block F V = R V R^T,
+    F^T V = R^T V R and F^-T V = Rinv^T V Rinv: one congruence M^T V M with
+    M = R^T, R or Rinv. On the NonNeg block F is the diagonal
+    R = sqrt(x / s), and it has no Rinv.
     """
 
-    def __init__(self, ws: _Workspace, x: np.ndarray, s: np.ndarray):
+    def __init__(self, ws: _Workspace, xs: np.ndarray):
         self.ws = ws
         self.R, self.Rt, self.Rinv, self.lam, self.isq = {}, {}, {}, {}, {}
-        xs = np.stack([x, s])
         for part in ws.layout:
             if part.order is None:
-                xm, sm = part.gather(xs)
-                if np.any(xm <= 0) or np.any(sm <= 0):
+                xm, sm = pair = part.gather(xs)
+                if (pair <= 0).any():
                     raise np.linalg.LinAlgError("nonnegative block left the interior")
                 self.R[part] = np.sqrt(xm / sm)
                 self.lam[part] = np.sqrt(xm * sm)
                 continue
             lx, ls = np.linalg.cholesky(part.gather(xs))
             u, sig, vt = np.linalg.svd(np.matmul(_t(ls), lx))
-            if np.any(sig <= 0):
+            if (sig <= 0).any():
                 raise np.linalg.LinAlgError("PSD block left the interior")
             isq = 1.0 / np.sqrt(sig)
             self.R[part] = np.matmul(lx, _t(vt)) * isq[:, None, :]
@@ -858,36 +865,46 @@ class _Scaling:
         self.lam_vec = ws.e
         return self
 
-    def _congruence(self, v: np.ndarray, mats: dict, nonneg) -> np.ndarray:
-        """M^T V M on every PSD block V of v, M = mats[part]; nonneg(b, R)
-        on the NonNeg entries b."""
+    def _congruence(self, v: np.ndarray, maps) -> np.ndarray:
+        """Row i of the stacked v mapped by the i-th (mats, nonneg) of maps:
+        M^T V M on every PSD block V, M = mats[part], and nonneg(b, R) on the
+        NonNeg entries b. The rows share one gather and one scatter per part."""
         out = np.empty_like(v)
         for part in self.ws.layout:
             b = part.gather(v)
-            if part.order is None:
-                part.scatter(out, nonneg(b, self.R[part]))
-            else:
-                m = mats[part]
-                part.scatter(out, np.matmul(_t(m), np.matmul(b, m)))
+            step = np.empty_like(b)
+            for rows, row, (mats, nonneg) in zip(b, step, maps):
+                if part.order is None:
+                    nonneg(rows, self.R[part], out=row)
+                else:
+                    np.matmul(_t(mats[part]), np.matmul(rows, mats[part]), out=row)
+            part.scatter(out, step)
         return out
 
     def fwd_x(self, v: np.ndarray) -> np.ndarray:
         """F v: maps a scaled direction back to x-space."""
-        return self._congruence(v, self.Rt, np.multiply)
+        return self._congruence(v[None], [(self.Rt, np.multiply)])[0]
 
     def scale_s(self, v: np.ndarray) -> np.ndarray:
-        """F^T v: maps an s-space vector into scaled coordinates."""
-        return self._congruence(v, self.R, np.multiply)
+        """F^T v of each row of the stacked v: maps s-space vectors into
+        scaled coordinates."""
+        return self._congruence(v, itertools.repeat((self.R, np.multiply)))
 
     def unscale_s(self, v: np.ndarray) -> np.ndarray:
         """F^-T v: maps a scaled direction back to s-space."""
-        return self._congruence(v, self.Rinv, np.divide)
+        return self._congruence(v[None], [(self.Rinv, np.divide)])[0]
 
-    def jordan(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Jordan product u o v, blockwise: (U V + V U) / 2 on PSD blocks."""
-        out = np.empty_like(u)
+    def unscale(self, pair: np.ndarray) -> np.ndarray:
+        """(F xbar, F^-T sbar) of a stacked scaled pair (xbar, sbar): fwd_x
+        and unscale_s of its rows, from one gather and one scatter per part."""
+        return self._congruence(pair, [(self.Rt, np.multiply), (self.Rinv, np.divide)])
+
+    def jordan(self, pair: np.ndarray) -> np.ndarray:
+        """Jordan product u o v of a stacked pair (u, v), blockwise:
+        (U V + V U) / 2 on PSD blocks."""
+        out = np.empty_like(pair[0])
         for part in self.ws.layout:
-            a, b = part.gather(u), part.gather(v)
+            a, b = part.gather(pair)
             part.scatter(out, a * b if part.order is None else 0.5 * (a @ b + b @ a))
         return out
 
@@ -920,20 +937,19 @@ class _Scaling:
                 np.multiply(flat.take(part.upper, axis=-1), part.enc, out=dest)
         return ws.g
 
-    def step_limit(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Largest alpha keeping both lambda + alpha * u and lambda + alpha * v
-        (scaled) in the cone."""
-        uv = np.stack([u, v])
+    def step_limit(self, pair: np.ndarray) -> float:
+        """Largest alpha keeping lambda + alpha * u and lambda + alpha * v
+        (scaled) in the cone, for both rows of the stacked pair (u, v)."""
         worst = 0.0
         for part in self.ws.layout:
-            b = part.gather(uv)
+            b = part.gather(pair)
             if part.order is None:
-                worst = max(worst, float(np.max(-b / self.lam[part])))
+                worst = max(worst, float((-b / self.lam[part]).max()))
                 continue
             isq = self.isq[part]
             t = b * isq[:, :, None] * isq[:, None, :]
             t = 0.5 * (t + _t(t))
-            worst = max(worst, float(np.max(-np.linalg.eigvalsh(t)[..., 0])))
+            worst = max(worst, float((-np.linalg.eigvalsh(t)[..., 0]).max()))
         return np.inf if worst <= 0 else 1.0 / worst
 
 
@@ -950,8 +966,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
     norm_b = 1.0 + b_norm
     norm_c = 1.0 + c_norm
 
-    x = ws.e.copy()
-    s = ws.e.copy()
+    xs = np.array((ws.e, ws.e))
     y = np.zeros(m)
     tau, kappa = 1.0, 1.0
 
@@ -968,7 +983,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
     def _classify(it: int, ax: np.ndarray, aty: np.ndarray) -> SolveOutcome | None:
         nonlocal best, best_score
         # Optimality on the tau-scaled point, from ax = A x and aty = A^T y.
-        xh, yh, sh = x / tau, y / tau, s / tau
+        (xh, sh), yh = xs / tau, y / tau
         pobj, dobj = float(c @ xh), float(b @ yh)
         pres = float(_norm(ax / tau - b)) / norm_b
         dres = float(_norm(aty / tau + sh - c)) / norm_c
@@ -1012,6 +1027,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
     try:
         for it in itertools.count():
             # A x and A^T y, shared by the classification and the residuals.
+            x, s = xs
             ax, aty = a_dot(x), a_tdot(y)
             out = _classify(it, ax, aty)
             if out is not None:
@@ -1021,7 +1037,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
 
             mu = (float(x @ s) + tau * kappa) / (ws.nu + 1)
             # The iteration starts at x = s = e.
-            scal = _Scaling(ws, x, s) if it else _Scaling.identity(ws)
+            scal = _Scaling(ws, xs) if it else _Scaling.identity(ws)
             g_mat = scal.scaled_gram()
             schur = g_mat.gram(out=ws.schur)
             jitter = 0.0
@@ -1063,18 +1079,19 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                     dy = solver(q2 - g_mat.dot(u0))
                     xbar = u0 + g_mat.tdot(dy)
                     state = None
-                    for _ in range(_KKT_REFINE + 1):
-                        e1 = q1 - scal.unscale_s(h - xbar) - a_tdot(dy)
-                        e2 = q2 - a_dot(scal.fwd_x(xbar))
+                    for left in reversed(range(_KKT_REFINE + 1)):
+                        dx, ds = scal.unscale(np.array((xbar, h - xbar)))
+                        e1 = q1 - ds - a_tdot(dy)
+                        e2 = q2 - a_dot(dx)
                         res = (_norm(e1) + _norm(e2)) / scale
                         # The first pass is kept even when its residual is not
                         # finite; it then reads inf, so the QR re-solve runs.
                         if state is None or res < state[-1]:
                             state = (dy, xbar, res if res < np.inf else np.inf)
-                        if res <= 1e-13 or res > 10.0 * state[-1]:
+                        if not left or res <= 1e-13 or res > 10.0 * state[-1]:
                             break
                         # Correction solves the same system with zero h-part.
-                        p = scal.scale_s(e1)
+                        p = scal.scale_s(e1[None])[0]
                         cy = solver(e2 + g_mat.dot(p))
                         dy = dy + cy
                         xbar = xbar + (g_mat.tdot(cy) - p)
@@ -1084,8 +1101,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                 if state[-1] > 1e-11 and m <= n:
                     qr_tried += 1
                     if qr_r[0] is None:
-                        # G^T, one column G^T e_i at a time: the G that dot and tdot apply.
-                        g_t = np.array([g_mat.tdot(e) for e in np.eye(m)]).T
+                        # G^T as the rows G^T e_i: the G that dot and tdot apply.
+                        g_t = g_mat.tdot(np.eye(m)).T
                         r_full = sla.qr(g_t, mode="r", check_finite=False)[0]
                         qr_r[0] = np.ascontiguousarray(r_full[:m, :])
                     try:
@@ -1101,8 +1118,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
             ry = ax - b * tau
             rt = kappa + float(c @ x) - float(b @ y)
             # <c, dx> = <F^T c, xbar>.
-            fc = scal.scale_s(c)
-            f_rx = scal.scale_s(-rx)
+            fc, f_rx = scal.scale_s(np.array((c, -rx)))
             lam = scal.lam_vec
             r_scale = 1.0 + _norm(rx) + _norm(ry)
 
@@ -1119,10 +1135,10 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                 dtau = (gt - float(fc @ xb2) + float(b @ dy2)) / den
                 dkap = (d_tau_rhs - kappa * dtau) / tau
                 xbar = xb2 + dtau * xb1
-                return xbar, h - xbar, dy2 + dtau * dy1, dtau, dkap
+                return np.array((xbar, h - xbar)), dy2 + dtau * dy1, dtau, dkap
 
-            def step_limit(xbar, sbar, dtau, dkap):
-                alpha = scal.step_limit(xbar, sbar)
+            def step_limit(pair, dtau, dkap):
+                alpha = scal.step_limit(pair)
                 if dtau < 0:
                     alpha = min(alpha, -tau / dtau)
                 if dkap < 0:
@@ -1131,27 +1147,26 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
 
             # Predictor: pure Newton toward complementarity zero, lambda o (xbar
             # + sbar) = -lambda o lambda.
-            xba, sba, _, dta, dka = direction(-lam, -tau * kappa)
-            alpha_aff = min(1.0, step_limit(xba, sba, dta, dka))
+            aff, _, dta, dka = direction(-lam, -tau * kappa)
+            alpha_aff = min(1.0, step_limit(aff, dta, dka))
+            xa, sa = lam + alpha_aff * aff
             mu_aff = (
-                float((lam + alpha_aff * xba) @ (lam + alpha_aff * sba))
-                + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka)
+                float(xa @ sa) + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka)
             ) / (ws.nu + 1)
             sigma = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
             # Corrector with Mehrotra second-order term:
             # lambda o (xbar + sbar) = sigma mu e - lambda o lambda - xbar_a o sbar_a.
-            h = scal.lam_div(sigma * mu * ws.e - scal.jordan(xba, sba)) - lam
+            h = scal.lam_div(sigma * mu * ws.e - scal.jordan(aff)) - lam
             d_tau_rhs = sigma * mu - tau * kappa - dta * dka
-            xb, sb, dy, dtau, dkap = direction(h, d_tau_rhs)
+            pair, dy, dtau, dkap = direction(h, d_tau_rhs)
 
-            alpha = min(1.0, _STEP_ETA * step_limit(xb, sb, dtau, dkap))
+            alpha = min(1.0, _STEP_ETA * step_limit(pair, dtau, dkap))
             if alpha <= 1e-8:
                 raise np.linalg.LinAlgError("step length collapsed")
 
-            x = x + alpha * scal.fwd_x(xb)
+            xs = xs + alpha * scal.unscale(pair)
             y = y + alpha * dy
-            s = s + alpha * scal.unscale_s(sb)
             tau = tau + alpha * dtau
             kappa = kappa + alpha * dkap
     except np.linalg.LinAlgError as exc:

@@ -25,7 +25,6 @@ from .formulations import (
     DesignSolution,
     LiftedChannel,
     SphereUncertainty,
-    _ball_radius,
     _ball_samples,
     build_fixed_dual,
     build_fixed_sdp,
@@ -292,9 +291,12 @@ def mmf_rate(
     The scenario's own rate targets are ignored; every user gets the same
     candidate rate. A rate is accepted when the power-minimization solve is
     Optimal with objective at most p_total, so the returned rate is always
-    certified by a solve; the bracket is [0, r_hi] with r_hi from the most
-    optimistic admissible channel gains. Returns rate 0 with feasible=False
-    when even tol_bits is out of reach.
+    certified by a solve. The bracket is [tol_bits, r_hi] with r_hi =
+    min_i log2(1 + p_total |h_i|^2 / sigma_i^2) for the presumed channels
+    h_i, and r_hi is never probed: h_i lies in every error set, so at rate
+    r_hi the user i that sets it has tr(W_i) |h_i|^2 >= h_i^H W_i h_i >=
+    gamma sigma_i^2 = p_total |h_i|^2, a power of at least p_total. Returns
+    rate 0 with feasible=False when even tol_bits is out of reach.
     """
     if not 0.0 < tol_bits < np.inf:
         raise ValueError("tol_bits must be positive and finite")
@@ -313,15 +315,11 @@ def mmf_rate(
             return False, float("nan")
         return outcome.objective <= p_total, outcome.objective
 
-    norms = np.linalg.norm(scenario.presumed, axis=0)
-    gain = (norms + _ball_radius(scenario)) ** 2
+    gain = np.linalg.norm(scenario.presumed, axis=0) ** 2
     r_hi = float(np.min(np.log2(1.0 + p_total * gain / scenario.noise_power)))
     if r_hi <= tol_bits:
         return MmfResult(rate=0.0, power=0.0, feasible=False)
 
-    ok, power = probe(r_hi)
-    if ok:
-        return MmfResult(rate=r_hi, power=power, feasible=True, failed_probes=failed)
     ok, power = probe(tol_bits)
     if not ok:
         return MmfResult(rate=0.0, power=0.0, feasible=False, failed_probes=failed)

@@ -384,10 +384,10 @@ def test_step_limit_breakdown_returns_best_iterate(monkeypatch):
     calls = []
     step_limit = _Scaling.step_limit
 
-    def poisoned(self, u, v):
-        # The first call of iteration 1 is its predictor.
+    def poisoned(self, pair):
+        # The first call of iteration 1 is its predictor; xbar turns to NaN.
         calls.append(1)
-        return step_limit(self, u * np.nan if len(calls) == 3 else u, v)
+        return step_limit(self, np.array((pair[0] * np.nan, pair[1])) if len(calls) == 3 else pair)
 
     monkeypatch.setattr(_Scaling, "step_limit", poisoned)
     out = solve(prog)
@@ -461,6 +461,12 @@ def interior_point(rng, cones):
     return np.concatenate(parts)
 
 
+def interior_pair(rng, cones):
+    """An interior iterate (x, s), stacked as the solver keeps it."""
+    x = interior_point(rng, cones)
+    return np.array((x, interior_point(rng, cones)))
+
+
 def patterned_program(rng):
     """Mixed program whose blocks touch chosen rows of A: two equal-size
     disjoint supports, two equal-size overlapping ones, a single odd one,
@@ -527,13 +533,14 @@ def stored_a(ws):
 
 
 def assert_matches_dense_gram(prog, seed=0, ws=None):
-    """The workspace's G = A F, read row by row as G^T e_i (the input of the
-    QR re-solve), its Schur complement G G^T (written into the workspace's
-    buffer, as solve does), A's stored values and the products with A and G
-    equal the dense reference built column by column from F."""
+    """The workspace's G = A F, read as the rows G^T e_i one at a time and
+    stacked (the input of the QR re-solve, equal to the bit), its Schur
+    complement G G^T (written into the workspace's buffer, as solve does),
+    A's stored values and the products with A and G equal the dense
+    reference built column by column from F."""
     rng = np.random.default_rng(seed)
     ws = ws or _Workspace(prog)
-    scal = _Scaling(ws, interior_point(rng, prog.cones), interior_point(rng, prog.cones))
+    scal = _Scaling(ws, interior_pair(rng, prog.cones))
     g_ref = prog.A @ np.column_stack([scal.fwd_x(e) for e in np.eye(prog.n)])
     s_ref = g_ref @ g_ref.T
     g = scal.scaled_gram()
@@ -542,7 +549,9 @@ def assert_matches_dense_gram(prog, seed=0, ws=None):
     def close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    close(np.array([g.tdot(e) for e in np.eye(prog.m)]), g_ref)
+    rows = np.array([g.tdot(e) for e in np.eye(prog.m)])
+    close(rows, g_ref)
+    assert np.array_equal(g.tdot(np.eye(prog.m)), rows)
     close(g.gram(out=ws.schur), s_ref)
     close(g.dot(u), g_ref @ u)
     close(g.tdot(y), g_ref.T @ y)
@@ -819,7 +828,7 @@ def test_scaled_gram_stores_each_block_congruence():
     rng = np.random.default_rng(23)
     prog, _ = build_robust_sdp(model_scenario(0, 8, 3, "box"))
     ws = _Workspace(prog)
-    scal = _Scaling(ws, interior_point(rng, prog.cones), interior_point(rng, prog.cones))
+    scal = _Scaling(ws, interior_pair(rng, prog.cones))
     g = scal.scaled_gram()
     stored_full = []
     for part in ws.parts:
@@ -839,7 +848,7 @@ def test_scaled_gram_congruence_in_row_chunks():
     rng = np.random.default_rng(25)
     prog, _ = build_robust_sdp(model_scenario(0, 8, 7, "box"))
     ws = _Workspace(prog)
-    scal = _Scaling(ws, interior_point(rng, prog.cones), interior_point(rng, prog.cones))
+    scal = _Scaling(ws, interior_pair(rng, prog.cones))
     g = scal.scaled_gram()
     [z_part] = [p for p in ws.parts if p.order is not None and p.rows is not None]
     rows = [dest.shape[1] for *_, dest in ws.g_chunks[z_part]]
@@ -862,7 +871,7 @@ def test_gram_buffers_keep_no_stale_rows(program):
         prog = build_robust_sdp(model_scenario(0, 8, 3, "box"))[0]
     ws = _Workspace(prog)
     rng = np.random.default_rng(26)
-    first = _Scaling(ws, interior_point(rng, prog.cones), interior_point(rng, prog.cones))
+    first = _Scaling(ws, interior_pair(rng, prog.cones))
     first.scaled_gram().gram(out=ws.schur)
     assert_matches_dense_gram(prog, seed=1, ws=ws)
 
@@ -1070,7 +1079,7 @@ def test_identity_scaling_is_the_factored_scaling_at_e():
         progs.append(build_robust_sdp(model_scenario(0, n, k, "box"))[0])
     for prog in progs:
         ws = _Workspace(prog)
-        got, want = _Scaling.identity(ws), _Scaling(ws, ws.e.copy(), ws.e.copy())
+        got, want = _Scaling.identity(ws), _Scaling(ws, np.array((ws.e, ws.e)))
         for name in ("R", "Rt", "Rinv", "lam", "isq"):
             got_parts, want_parts = getattr(got, name), getattr(want, name)
             assert list(got_parts) == list(want_parts), name
@@ -1092,11 +1101,12 @@ def svec_round_trip(v, cones):
 
 @pytest.mark.parametrize("program", ["robust-8x3-box", "fixed-4x3"])
 def test_part_gather_and_scatter_tables(program):
-    """Each part gathers its blocks with one take: smat of its columns to the
-    bit, for one n-vector and for a stacked pair, and scatter writes back
-    their svec. The 8x3 box program has a narrow NonNeg, a full W and a
-    narrow Z part; the m = 3 fixed program keeps every block in the full
-    matrix."""
+    """Each part gathers its blocks from a stacked pair with one take: smat
+    of each row's columns to the bit, as the row alone gathers them, and
+    scatter writes back their svec, into the pair or into one n-vector. The
+    8x3 box program has a narrow NonNeg, a full W and a narrow Z part; the
+    m = 3 fixed program keeps every block in the full matrix. The step
+    limit of a pair is the smaller of its rows' limits."""
     rng = np.random.default_rng(24)
     if program == "fixed-4x3":
         sc = sample_scenario(0, 4, 3, 1.0, 0.1, 0.1, 0.7)
@@ -1110,22 +1120,51 @@ def test_part_gather_and_scatter_tables(program):
         assert ws.g.whole and kinds == {(True, True), (False, True)}
     else:
         assert kinds == {(True, False), (False, True), (False, False)}
-    x, s = interior_point(rng, prog.cones), interior_point(rng, prog.cones)
-    scal = _Scaling(ws, x, s)
-    for u, v in ((x, s), (scal.lam_vec, rng.standard_normal(prog.n))):
-        out = np.full(prog.n, np.nan)
+    xs = interior_pair(rng, prog.cones)
+    scal = _Scaling(ws, xs)
+    for pair in (xs, np.array((scal.lam_vec, rng.standard_normal(prog.n)))):
+        out, first = np.full(pair.shape, np.nan), np.full(prog.n, np.nan)
         for part in ws.layout:
-            got = part.gather(u)
-            vals = u[part.cols]
-            assert np.array_equal(got, vals if part.order is None else smat(vals, part.order))
-            pair = part.gather(np.stack([u, v]))
-            assert np.array_equal(pair, np.stack([got, part.gather(v)]))
+            got = part.gather(pair)
+            for row, u in zip(got, pair):
+                vals = u[part.cols]
+                assert np.array_equal(row, vals if part.order is None else smat(vals, part.order))
+                assert np.array_equal(row, part.gather(u))
             part.scatter(out, got)
+            part.scatter(first, got[0])
         # Equal to u itself on the NonNeg and diagonal entries; dividing by
         # sqrt(2) and multiplying back need not return an off-diagonal one.
-        assert np.array_equal(out, svec_round_trip(u, prog.cones))
+        for row, u in zip(out, pair):
+            assert np.array_equal(row, svec_round_trip(u, prog.cones))
+        assert np.array_equal(first, out[0])
     du, dv = rng.standard_normal((2, prog.n))
-    assert scal.step_limit(du, dv) == min(scal.step_limit(du, du), scal.step_limit(dv, dv))
+    limits = [scal.step_limit(np.array(pair)) for pair in ((du, dv), (du, du), (dv, dv))]
+    assert limits[0] == min(limits[1:])
+
+
+@pytest.mark.parametrize("program", ["robust-4x3", "fixed-4x3"])
+def test_pair_update_matches_row_maps(program):
+    """The update maps a scaled pair (xbar, sbar) to (F xbar, F^-T sbar) in
+    one pass over the layout: the bits of fwd_x and unscale_s of its rows.
+    scale_s of a stacked pair, as of (c, -r_x), maps each row to the bits
+    it takes alone. Both
+    hold for the NT scaling at an interior point and for the first
+    iteration's identity scaling, on a 4x3 design of each error model and on
+    the m = 3 program."""
+    rng = np.random.default_rng(27)
+    if program == "fixed-4x3":
+        progs = [fixed_programs(4, 3, 0)[0]]
+    else:
+        progs = [build_robust_sdp(model_scenario(0, 4, 3, model))[0] for model in MODELS]
+    for prog in progs:
+        ws = _Workspace(prog)
+        for scal in (_Scaling(ws, interior_pair(rng, prog.cones)), _Scaling.identity(ws)):
+            pair = rng.standard_normal((2, prog.n))
+            dx, ds = scal.unscale(pair)
+            assert dx.tobytes() == scal.fwd_x(pair[0]).tobytes()
+            assert ds.tobytes() == scal.unscale_s(pair[1]).tobytes()
+            for got, row in zip(scal.scale_s(pair), pair):
+                assert got.tobytes() == scal.scale_s(row[None]).tobytes()
 
 
 def test_breakdowns_leak_no_runtime_warnings():
@@ -1201,6 +1240,30 @@ def test_remedy_counts_match_outside_wrappers(monkeypatch):
     assert (stats.schur_rejected, stats.qr_tried) == (calls.count("rejected"), tried)
     assert 0 < calls.count("qr") <= stats.qr_tried
     assert stats == SolveStats(schur_rejected=5, qr_tried=8, qr_taken=5)
+
+
+def test_refinement_corrects_only_between_checks(monkeypatch):
+    """Each KKT solve runs _KKT_REFINE corrections between its _KKT_REFINE
+    + 1 residual checks: no correction follows the last check. Cholesky
+    solves every KKT system of this sphere stress-grid design (sigma2 0.1,
+    rho 1e4, r = 1e-3 min ||h_i||, rate 0.3), one potrs per system and one
+    per correction, 53 in all; the two systems whose refinement ran out
+    each took one more, discarded, correction when one followed the last
+    check (55)."""
+    calls = []
+    potrs = conic._POTRS
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return potrs(*args, **kwargs)
+
+    monkeypatch.setattr(conic, "_POTRS", counted)
+    sc = sample_scenario(1, 4, 3, 1e4, 0.1, 1.0, 0.3)
+    radius = 1e-3 * np.min(np.linalg.norm(sc.presumed, axis=0))
+    sc = replace(sc, uncertainty=SphereUncertainty(np.full(3, radius)))
+    out = solve(build_robust_sdp(sc)[0])
+    assert (out.status, out.iterations, out.stats.qr_tried) == (Status.OPTIMAL, 14, 0)
+    assert len(calls) == 53
 
 
 # Status and iteration count of each seeded solve, as before the Gram and

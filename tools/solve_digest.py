@@ -40,10 +40,10 @@ The sets, any of which may be named (seeded and grid when none is):
 A set may be named twice. The solver keeps the layouts of recent sparsity
 patterns (conic._PATTERNS), so the second pass of
 
-    PYTHONPATH=src python3 tools/solve_digest.py seeded seeded
+    PYTHONPATH=src python3 tools/solve_digest.py seeded grid seeded grid
 
-reuses every layout that the first pass built; its lines must equal the
-first pass's. CI runs this check.
+reuses every layout that the first pass built (the two sets have 20
+patterns); its lines must equal the first pass's. CI runs this check.
 
 Digests depend on the BLAS build and its thread count. The BLAS is pinned
 to one thread before numpy loads; compare files from one machine only. The
