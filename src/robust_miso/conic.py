@@ -26,14 +26,15 @@ point F^-1 x = F^T s), and the step lengths and the Mehrotra term read xbar
 and sbar directly. Each primal-dual pair is one stacked (2, n) array: the
 iterate (x, s), every direction (xbar, sbar) and its image (dx, ds) =
 (F xbar, F^-T sbar), formed for the update and for each residual check of
-the KKT refinement. A part gathers both rows of a pair with one take and
-scatters them with one, and every row keeps the bits it takes alone. On a
-PSD block, F, F^T and F^-T share one congruence M^T V M, with M = R^T, R or
-R^-1 for the NT factor R. The iteration starts at x = s = e, where the NT
-scaling is the identity: the Cholesky factors and the SVD of an identity
-matrix are exactly the identity, so the first iteration takes R = R^-1 = I
-and lambda = e without factoring, to the same bits. Later iterations factor
-the iterate's two rows of a part in one stacked Cholesky.
+the KKT refinement. A part gathers both rows of a pair with one take, once
+per direction for its step limit, Jordan product and update, and scatters
+them with one; every row keeps the bits it takes alone. On a PSD block, F,
+F^T and F^-T share one congruence M^T V M, with M = R^T, R or R^-1 for the
+NT factor R. The iteration starts at x = s = e, where the NT scaling is the
+identity: the Cholesky factors and the SVD of an identity matrix are
+exactly the identity, so the first iteration takes R = R^-1 = I and
+lambda = e without factoring, to the same bits. Later iterations factor the
+iterate's two rows of a part in one stacked Cholesky.
 
 One block layout drives every batched operation. It is read from the cone
 list and the row-major list of A's nonzeros: the support of a cone block is
@@ -135,6 +136,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import itertools
+import math
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -150,8 +152,7 @@ DEFAULT_MAX_ITER = 200
 
 # Fraction-to-boundary factor for combined steps.
 _STEP_ETA = 0.99
-# Iterative refinement corrections of each KKT solve, run between its
-# _KKT_REFINE + 1 residual checks.
+# KKT refinement corrections, run between a solve's _KKT_REFINE + 1 residual checks.
 _KKT_REFINE = 2
 # The Schur complement's Cholesky factor and solve, called directly rather
 # than through scipy's batching wrappers cho_factor and cho_solve.
@@ -794,9 +795,9 @@ class _Patterned:
         return out
 
 
-def _norm(v: np.ndarray) -> np.floating:
+def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a real 1-d array, computed as np.linalg.norm does."""
-    return np.sqrt(v.dot(v))
+    return math.sqrt(v.dot(v))
 
 
 def _t(mats: np.ndarray) -> np.ndarray:
@@ -865,15 +866,19 @@ class _Scaling:
         self.lam_vec = ws.e
         return self
 
-    def _congruence(self, v: np.ndarray, maps) -> np.ndarray:
-        """Row i of the stacked v mapped by the i-th (mats, nonneg) of maps:
-        M^T V M on every PSD block V, M = mats[part], and nonneg(b, R) on the
-        NonNeg entries b. The rows share one gather and one scatter per part."""
-        out = np.empty_like(v)
-        for part in self.ws.layout:
-            b = part.gather(v)
+    def blocks(self, v: np.ndarray) -> list:
+        """Each layout part's blocks of the stacked v, as _Part.gather returns them."""
+        return [part.gather(v) for part in self.ws.layout]
+
+    def _congruence(self, blocks: list, maps) -> np.ndarray:
+        """Rows given as their blocks, row i mapped by the i-th (mats, nonneg)
+        of maps or all by a lone one: M^T V M on every PSD block V, M =
+        mats[part], and nonneg(b, R) on the NonNeg entries b."""
+        out = np.empty((len(blocks[0]), self.ws.prog.n))
+        for part, b in zip(self.ws.layout, blocks):
             step = np.empty_like(b)
-            for rows, row, (mats, nonneg) in zip(b, step, maps):
+            groups = zip(b, step, maps) if len(maps) > 1 else [(b, step, maps[0])]
+            for rows, row, (mats, nonneg) in groups:
                 if part.order is None:
                     nonneg(rows, self.R[part], out=row)
                 else:
@@ -883,28 +888,26 @@ class _Scaling:
 
     def fwd_x(self, v: np.ndarray) -> np.ndarray:
         """F v: maps a scaled direction back to x-space."""
-        return self._congruence(v[None], [(self.Rt, np.multiply)])[0]
+        return self._congruence(self.blocks(v[None]), [(self.Rt, np.multiply)])[0]
 
     def scale_s(self, v: np.ndarray) -> np.ndarray:
-        """F^T v of each row of the stacked v: maps s-space vectors into
-        scaled coordinates."""
-        return self._congruence(v, itertools.repeat((self.R, np.multiply)))
+        """F^T v of each row of the stacked v: maps s-space rows to scaled coordinates."""
+        return self._congruence(self.blocks(v), [(self.R, np.multiply)])
 
     def unscale_s(self, v: np.ndarray) -> np.ndarray:
         """F^-T v: maps a scaled direction back to s-space."""
-        return self._congruence(v[None], [(self.Rinv, np.divide)])[0]
+        return self._congruence(self.blocks(v[None]), [(self.Rinv, np.divide)])[0]
 
-    def unscale(self, pair: np.ndarray) -> np.ndarray:
-        """(F xbar, F^-T sbar) of a stacked scaled pair (xbar, sbar): fwd_x
-        and unscale_s of its rows, from one gather and one scatter per part."""
+    def unscale(self, pair: list) -> np.ndarray:
+        """(F xbar, F^-T sbar) of a scaled pair (xbar, sbar) given as its
+        blocks: fwd_x and unscale_s of its rows, with one scatter per part."""
         return self._congruence(pair, [(self.Rt, np.multiply), (self.Rinv, np.divide)])
 
-    def jordan(self, pair: np.ndarray) -> np.ndarray:
-        """Jordan product u o v of a stacked pair (u, v), blockwise:
+    def jordan(self, pair: list) -> np.ndarray:
+        """Jordan product u o v of a pair (u, v) given as its blocks:
         (U V + V U) / 2 on PSD blocks."""
-        out = np.empty_like(pair[0])
-        for part in self.ws.layout:
-            a, b = part.gather(pair)
+        out = np.empty(self.ws.prog.n)
+        for part, (a, b) in zip(self.ws.layout, pair):
             part.scatter(out, a * b if part.order is None else 0.5 * (a @ b + b @ a))
         return out
 
@@ -937,19 +940,18 @@ class _Scaling:
                 np.multiply(flat.take(part.upper, axis=-1), part.enc, out=dest)
         return ws.g
 
-    def step_limit(self, pair: np.ndarray) -> float:
-        """Largest alpha keeping lambda + alpha * u and lambda + alpha * v
-        (scaled) in the cone, for both rows of the stacked pair (u, v)."""
+    def step_limit(self, pair: list) -> float:
+        """Largest alpha keeping lambda + alpha * u and lambda + alpha * v (scaled)
+        in the cone, for both rows of a pair (u, v) given as its blocks."""
         worst = 0.0
-        for part in self.ws.layout:
-            b = part.gather(pair)
+        for part, b in zip(self.ws.layout, pair):
             if part.order is None:
-                worst = max(worst, float((-b / self.lam[part]).max()))
+                worst = max(worst, -float((b / self.lam[part]).min()))
                 continue
             isq = self.isq[part]
             t = b * isq[:, :, None] * isq[:, None, :]
             t = 0.5 * (t + _t(t))
-            worst = max(worst, float((-np.linalg.eigvalsh(t)[..., 0]).max()))
+            worst = max(worst, -float(np.linalg.eigvalsh(t)[..., 0].min()))
         return np.inf if worst <= 0 else 1.0 / worst
 
 
@@ -978,15 +980,15 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
 
     def _is_ray(av: np.ndarray, cv: float) -> bool:
         """<c, v> < 0 with A v ~ 0, given av = A v: the improving-ray test."""
-        return cv < 0 and float(_norm(av)) * max(1.0, c_norm) <= cfg.tol_inf * -cv
+        return cv < 0 and _norm(av) * max(1.0, c_norm) <= cfg.tol_inf * -cv
 
-    def _classify(it: int, ax: np.ndarray, aty: np.ndarray) -> SolveOutcome | None:
+    def _classify(it: int, ax: np.ndarray, aty: np.ndarray, cx: float, by: float):
         nonlocal best, best_score
-        # Optimality on the tau-scaled point, from ax = A x and aty = A^T y.
+        # Optimality on the tau-scaled point, from A x, A^T y, <c, x> and <b, y>.
         (xh, sh), yh = xs / tau, y / tau
         pobj, dobj = float(c @ xh), float(b @ yh)
-        pres = float(_norm(ax / tau - b)) / norm_b
-        dres = float(_norm(aty / tau + sh - c)) / norm_c
+        pres = _norm(ax / tau - b) / norm_b
+        dres = _norm(aty / tau + sh - c) / norm_c
         gap = abs(pobj - dobj) / (1.0 + abs(pobj))
         score = max(pres, dres, gap)
         if best is None or score < best_score:
@@ -999,9 +1001,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                 Status.OPTIMAL, xh, yh, sh, pobj, dobj, it, pres, dres, gap
             )
         # Infeasibility certificates from the homogeneous part.
-        by = float(b @ y)
         if by > 0:
-            res = float(_norm(aty + s)) * max(1.0, b_norm)
+            res = _norm(aty + s) * max(1.0, b_norm)
             if res <= cfg.tol_inf * by:
                 yn, sn = y / by, s / by
                 cert = cone_distance(-a_tdot(yn), prog.cones)
@@ -1010,7 +1011,6 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                     np.nan, np.nan, np.nan, cert_res=cert,
                     message="Farkas dual ray: <b,y>=1, -A^T y in cone",
                 )
-        cx = float(c @ x)
         if _is_ray(ax, cx):
             # The ray is returned normalized, so the normalized ray itself
             # must pass the test and lie in the cone.
@@ -1018,7 +1018,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
             if _is_ray(a_dot(xn), float(c @ xn)) and cone_min_eig(xn, prog.cones) >= -cfg.tol_inf:
                 return SolveOutcome(
                     Status.DUAL_INFEASIBLE, xn, None, None, np.nan, np.nan, it,
-                    np.nan, np.nan, np.nan, cert_res=float(_norm(a_dot(xn))),
+                    np.nan, np.nan, np.nan, cert_res=_norm(a_dot(xn)),
                     message="improving ray: <c,x>=-1, A x ~ 0, x in cone",
                 )
         return None
@@ -1026,10 +1026,10 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
     message = "iteration limit reached"
     try:
         for it in itertools.count():
-            # A x and A^T y, shared by the classification and the residuals.
+            # A x, A^T y, <c, x> and <b, y>, shared with the residuals.
             x, s = xs
-            ax, aty = a_dot(x), a_tdot(y)
-            out = _classify(it, ax, aty)
+            ax, aty, cx, by = a_dot(x), a_tdot(y), float(c @ x), float(b @ y)
+            out = _classify(it, ax, aty, cx, by)
             if out is not None:
                 return replace(out, stats=SolveStats(rejected, qr_tried, qr_taken))
             if it >= cfg.max_iter:
@@ -1080,7 +1080,7 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                     xbar = u0 + g_mat.tdot(dy)
                     state = None
                     for left in reversed(range(_KKT_REFINE + 1)):
-                        dx, ds = scal.unscale(np.array((xbar, h - xbar)))
+                        dx, ds = scal.unscale(scal.blocks(np.array((xbar, h - xbar))))
                         e1 = q1 - ds - a_tdot(dy)
                         e2 = q2 - a_dot(dx)
                         res = (_norm(e1) + _norm(e2)) / scale
@@ -1114,13 +1114,13 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                         pass
                 return state[:2]
 
-            rx = s + aty - c * tau
-            ry = ax - b * tau
-            rt = kappa + float(c @ x) - float(b @ y)
+            # -r_x and -r_y: to the bit, minus s + A^T y - c tau and A x - b tau.
+            q1, q2 = c * tau - (s + aty), b * tau - ax
+            rt = kappa + cx - by
             # <c, dx> = <F^T c, xbar>.
-            fc, f_rx = scal.scale_s(np.array((c, -rx)))
+            fc, f_q1 = scal.scale_s(np.array((c, q1)))
             lam = scal.lam_vec
-            r_scale = 1.0 + _norm(rx) + _norm(ry)
+            r_scale = 1.0 + _norm(q1) + _norm(q2)
 
             dy1, xb1 = kkt(c, fc, b, np.zeros(n), 1.0 + c_norm + b_norm)
             # <c, dx1> - <b, dy1> equals -|xbar1|^2 when the solve is exact;
@@ -1130,15 +1130,16 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
                 raise np.linalg.LinAlgError("degenerate tau equation")
 
             def direction(h, d_tau_rhs):
-                dy2, xb2 = kkt(-rx, f_rx, -ry, h, r_scale)
+                dy2, xb2 = kkt(q1, f_q1, q2, h, r_scale)
                 gt = -rt - d_tau_rhs / tau
                 dtau = (gt - float(fc @ xb2) + float(b @ dy2)) / den
                 dkap = (d_tau_rhs - kappa * dtau) / tau
                 xbar = xb2 + dtau * xb1
-                return np.array((xbar, h - xbar)), dy2 + dtau * dy1, dtau, dkap
+                pair = np.array((xbar, h - xbar))
+                return pair, scal.blocks(pair), dy2 + dtau * dy1, dtau, dkap
 
-            def step_limit(pair, dtau, dkap):
-                alpha = scal.step_limit(pair)
+            def step_limit(blocks, dtau, dkap):
+                alpha = scal.step_limit(blocks)
                 if dtau < 0:
                     alpha = min(alpha, -tau / dtau)
                 if dkap < 0:
@@ -1147,8 +1148,8 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
 
             # Predictor: pure Newton toward complementarity zero, lambda o (xbar
             # + sbar) = -lambda o lambda.
-            aff, _, dta, dka = direction(-lam, -tau * kappa)
-            alpha_aff = min(1.0, step_limit(aff, dta, dka))
+            aff, aff_blocks, _, dta, dka = direction(-lam, -tau * kappa)
+            alpha_aff = min(1.0, step_limit(aff_blocks, dta, dka))
             xa, sa = lam + alpha_aff * aff
             mu_aff = (
                 float(xa @ sa) + (tau + alpha_aff * dta) * (kappa + alpha_aff * dka)
@@ -1157,15 +1158,15 @@ def solve(prog: ConicProgram, settings: SolverSettings | None = None) -> SolveOu
 
             # Corrector with Mehrotra second-order term:
             # lambda o (xbar + sbar) = sigma mu e - lambda o lambda - xbar_a o sbar_a.
-            h = scal.lam_div(sigma * mu * ws.e - scal.jordan(aff)) - lam
+            h = scal.lam_div(sigma * mu * ws.e - scal.jordan(aff_blocks)) - lam
             d_tau_rhs = sigma * mu - tau * kappa - dta * dka
-            pair, dy, dtau, dkap = direction(h, d_tau_rhs)
+            _, blocks, dy, dtau, dkap = direction(h, d_tau_rhs)
 
-            alpha = min(1.0, _STEP_ETA * step_limit(pair, dtau, dkap))
+            alpha = min(1.0, _STEP_ETA * step_limit(blocks, dtau, dkap))
             if alpha <= 1e-8:
                 raise np.linalg.LinAlgError("step length collapsed")
 
-            xs = xs + alpha * scal.unscale(pair)
+            xs = xs + alpha * scal.unscale(blocks)
             y = y + alpha * dy
             tau = tau + alpha * dtau
             kappa = kappa + alpha * dkap

@@ -385,9 +385,12 @@ def test_step_limit_breakdown_returns_best_iterate(monkeypatch):
     step_limit = _Scaling.step_limit
 
     def poisoned(self, pair):
-        # The first call of iteration 1 is its predictor; xbar turns to NaN.
+        # The first call of iteration 1 is its predictor; xbar turns to NaN
+        # in every part's blocks.
         calls.append(1)
-        return step_limit(self, np.array((pair[0] * np.nan, pair[1])) if len(calls) == 3 else pair)
+        if len(calls) == 3:
+            pair = [np.array((b[0] * np.nan, b[1])) for b in pair]
+        return step_limit(self, pair)
 
     monkeypatch.setattr(_Scaling, "step_limit", poisoned)
     out = solve(prog)
@@ -1138,17 +1141,18 @@ def test_part_gather_and_scatter_tables(program):
             assert np.array_equal(row, svec_round_trip(u, prog.cones))
         assert np.array_equal(first, out[0])
     du, dv = rng.standard_normal((2, prog.n))
-    limits = [scal.step_limit(np.array(pair)) for pair in ((du, dv), (du, du), (dv, dv))]
+    pairs = [np.array(pair) for pair in ((du, dv), (du, du), (dv, dv))]
+    limits = [scal.step_limit(scal.blocks(pair)) for pair in pairs]
     assert limits[0] == min(limits[1:])
 
 
 @pytest.mark.parametrize("program", ["robust-4x3", "fixed-4x3"])
 def test_pair_update_matches_row_maps(program):
-    """The update maps a scaled pair (xbar, sbar) to (F xbar, F^-T sbar) in
-    one pass over the layout: the bits of fwd_x and unscale_s of its rows.
-    scale_s of a stacked pair, as of (c, -r_x), maps each row to the bits
-    it takes alone. Both
-    hold for the NT scaling at an interior point and for the first
+    """The update maps a scaled pair (xbar, sbar), given as its blocks, to
+    (F xbar, F^-T sbar) in one pass over the layout: the bits of fwd_x and
+    unscale_s of its rows. scale_s of a stacked pair, as of (c, -r_x), maps
+    both rows with one product per part, to the bits each row takes alone.
+    Both hold for the NT scaling at an interior point and for the first
     iteration's identity scaling, on a 4x3 design of each error model and on
     the m = 3 program."""
     rng = np.random.default_rng(27)
@@ -1160,7 +1164,7 @@ def test_pair_update_matches_row_maps(program):
         ws = _Workspace(prog)
         for scal in (_Scaling(ws, interior_pair(rng, prog.cones)), _Scaling.identity(ws)):
             pair = rng.standard_normal((2, prog.n))
-            dx, ds = scal.unscale(pair)
+            dx, ds = scal.unscale(scal.blocks(pair))
             assert dx.tobytes() == scal.fwd_x(pair[0]).tobytes()
             assert ds.tobytes() == scal.unscale_s(pair[1]).tobytes()
             for got, row in zip(scal.scale_s(pair), pair):
