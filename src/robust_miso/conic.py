@@ -142,6 +142,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 import scipy.linalg as sla
 from scipy.sparse import csr_array
 
@@ -162,6 +163,27 @@ _CHUNK = 32768
 # Net flops per iteration (_low_rank_gain) that factoring a full PSD part's A
 # columns must save.
 _LOW_RANK_FLOPS = 4e7
+
+
+def _lapack_loop(name: str, message: str):
+    """numpy's batched LAPACK loop `name`, called on float64 stacks as
+    np.linalg calls it but without its per-call checks and conversions, which
+    dominate at the block orders of small programs: the same bits, and
+    LinAlgError(message) where np.linalg raises it. None if numpy has no such loop."""
+    loop = getattr(_umath_linalg, name, None)
+
+    def fail(*_):
+        raise np.linalg.LinAlgError(message)
+
+    state = np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+    return state(loop) if loop else None
+
+
+# The NT factorization's and the step limit's LAPACK calls; np.linalg.svd on
+# a numpy without the svd_f loop.
+_CHOLESKY = _lapack_loop("cholesky_lo", "Matrix is not positive definite")
+_EIGVALSH = _lapack_loop("eigvalsh_lo", "Eigenvalues did not converge")
+_SVD = _lapack_loop("svd_f", "SVD did not converge") or np.linalg.svd
 
 
 class Status(enum.Enum):
@@ -813,8 +835,8 @@ class _Scaling:
     coordinates, as one stacked pair (xbar, sbar) = (F^-1 dx, F^T ds) in the
     svec layout of x; G = A F acts on xbar through _Patterned.dot, and
     unscale maps the pair to (dx, ds). R, Rinv and lam hold each part's
-    factors, keyed by the part, isq holds 1 / sqrt(lam) on the PSD parts,
-    and lam_vec is lambda in the svec layout. On a PSD block F V = R V R^T,
+    factors, keyed by the part, Rt and Rinvt the transposes of R and Rinv,
+    isq 1 / sqrt(lam) on the PSD parts, and lam_vec lambda in the svec layout. On a PSD block F V = R V R^T,
     F^T V = R^T V R and F^-T V = Rinv^T V Rinv: one congruence M^T V M with
     M = R^T, R or Rinv. On the NonNeg block F is the diagonal
     R = sqrt(x / s), and it has no Rinv.
@@ -822,7 +844,7 @@ class _Scaling:
 
     def __init__(self, ws: _Workspace, xs: np.ndarray):
         self.ws = ws
-        self.R, self.Rt, self.Rinv, self.lam, self.isq = {}, {}, {}, {}, {}
+        self.R, self.Rt, self.Rinv, self.Rinvt, self.lam, self.isq = {}, {}, {}, {}, {}, {}
         for part in ws.layout:
             if part.order is None:
                 xm, sm = pair = part.gather(xs)
@@ -831,14 +853,14 @@ class _Scaling:
                 self.R[part] = np.sqrt(xm / sm)
                 self.lam[part] = np.sqrt(xm * sm)
                 continue
-            lx, ls = np.linalg.cholesky(part.gather(xs))
-            u, sig, vt = np.linalg.svd(np.matmul(_t(ls), lx))
+            lx, ls = _CHOLESKY(part.gather(xs))
+            u, sig, vt = _SVD(np.matmul(_t(ls), lx))
             if (sig <= 0).any():
                 raise np.linalg.LinAlgError("PSD block left the interior")
             isq = 1.0 / np.sqrt(sig)
             self.R[part] = np.matmul(lx, _t(vt)) * isq[:, None, :]
-            self.Rt[part] = _t(self.R[part])
             self.Rinv[part] = np.matmul(isq[:, :, None] * _t(u), _t(ls))
+            self.Rt[part], self.Rinvt[part] = _t(self.R[part]), _t(self.Rinv[part])
             self.lam[part] = sig
             self.isq[part] = isq
         # lambda is diagonal on every block: zero but on the layout's diagonals.
@@ -854,14 +876,14 @@ class _Scaling:
         the bits that __init__ computes there."""
         self = cls.__new__(cls)
         self.ws = ws
-        self.R, self.Rt, self.Rinv, self.lam, self.isq = {}, {}, {}, {}, {}
+        self.R, self.Rt, self.Rinv, self.Rinvt, self.lam, self.isq = {}, {}, {}, {}, {}, {}
         for part in ws.layout:
             ones = np.ones(part.diag.shape)
             self.R[part] = self.lam[part] = ones
             if part.order is not None:
                 eye = np.broadcast_to(np.eye(part.order), part.diag.shape + (part.order,))
                 self.R[part] = self.Rinv[part] = eye
-                self.Rt[part] = _t(eye)
+                self.Rt[part] = self.Rinvt[part] = _t(eye)
                 self.isq[part] = ones
         self.lam_vec = ws.e
         return self
@@ -871,37 +893,38 @@ class _Scaling:
         return [part.gather(v) for part in self.ws.layout]
 
     def _congruence(self, blocks: list, maps) -> np.ndarray:
-        """Rows given as their blocks, row i mapped by the i-th (mats, nonneg)
-        of maps or all by a lone one: M^T V M on every PSD block V, M =
-        mats[part], and nonneg(b, R) on the NonNeg entries b."""
+        """Rows given as their blocks, row i mapped by the i-th (mt, m, nonneg)
+        of maps or all by a lone one: M^T V M on every PSD block V, with M =
+        m[part] and M^T = mt[part], and nonneg(b, R) on the NonNeg entries b."""
         out = np.empty((len(blocks[0]), self.ws.prog.n))
         for part, b in zip(self.ws.layout, blocks):
             step = np.empty_like(b)
             groups = zip(b, step, maps) if len(maps) > 1 else [(b, step, maps[0])]
-            for rows, row, (mats, nonneg) in groups:
+            for rows, row, (mt, m, nonneg) in groups:
                 if part.order is None:
                     nonneg(rows, self.R[part], out=row)
                 else:
-                    np.matmul(_t(mats[part]), np.matmul(rows, mats[part]), out=row)
+                    np.matmul(mt[part], np.matmul(rows, m[part]), out=row)
             part.scatter(out, step)
         return out
 
     def fwd_x(self, v: np.ndarray) -> np.ndarray:
         """F v: maps a scaled direction back to x-space."""
-        return self._congruence(self.blocks(v[None]), [(self.Rt, np.multiply)])[0]
+        return self._congruence(self.blocks(v[None]), [(self.R, self.Rt, np.multiply)])[0]
 
     def scale_s(self, v: np.ndarray) -> np.ndarray:
         """F^T v of each row of the stacked v: maps s-space rows to scaled coordinates."""
-        return self._congruence(self.blocks(v), [(self.R, np.multiply)])
+        return self._congruence(self.blocks(v), [(self.Rt, self.R, np.multiply)])
 
     def unscale_s(self, v: np.ndarray) -> np.ndarray:
         """F^-T v: maps a scaled direction back to s-space."""
-        return self._congruence(self.blocks(v[None]), [(self.Rinv, np.divide)])[0]
+        return self._congruence(self.blocks(v[None]), [(self.Rinvt, self.Rinv, np.divide)])[0]
 
     def unscale(self, pair: list) -> np.ndarray:
         """(F xbar, F^-T sbar) of a scaled pair (xbar, sbar) given as its
         blocks: fwd_x and unscale_s of its rows, with one scatter per part."""
-        return self._congruence(pair, [(self.Rt, np.multiply), (self.Rinv, np.divide)])
+        maps = [(self.R, self.Rt, np.multiply), (self.Rinvt, self.Rinv, np.divide)]
+        return self._congruence(pair, maps)
 
     def jordan(self, pair: list) -> np.ndarray:
         """Jordan product u o v of a pair (u, v) given as its blocks:
@@ -951,7 +974,7 @@ class _Scaling:
             isq = self.isq[part]
             t = b * isq[:, :, None] * isq[:, None, :]
             t = 0.5 * (t + _t(t))
-            worst = max(worst, -float(np.linalg.eigvalsh(t)[..., 0].min()))
+            worst = max(worst, -float(_EIGVALSH(t)[..., 0].min()))
         return np.inf if worst <= 0 else 1.0 / worst
 
 

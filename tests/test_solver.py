@@ -1083,7 +1083,7 @@ def test_identity_scaling_is_the_factored_scaling_at_e():
     for prog in progs:
         ws = _Workspace(prog)
         got, want = _Scaling.identity(ws), _Scaling(ws, np.array((ws.e, ws.e)))
-        for name in ("R", "Rt", "Rinv", "lam", "isq"):
+        for name in ("R", "Rt", "Rinv", "Rinvt", "lam", "isq"):
             got_parts, want_parts = getattr(got, name), getattr(want, name)
             assert list(got_parts) == list(want_parts), name
             for part, value in want_parts.items():
@@ -1169,6 +1169,39 @@ def test_pair_update_matches_row_maps(program):
             assert ds.tobytes() == scal.unscale_s(pair[1]).tobytes()
             for got, row in zip(scal.scale_s(pair), pair):
                 assert got.tobytes() == scal.scale_s(row[None]).tobytes()
+
+
+def test_lapack_loops_match_numpy_linalg():
+    """The NT factorization and the step limit call numpy's LAPACK loops
+    without np.linalg's wrappers. On float64 stacks they return np.linalg's
+    bits; where np.linalg raises (an indefinite block, NaN or inf entries)
+    they raise LinAlgError with its message, both under the default
+    floating-point state and under the solver's, and they warn of nothing."""
+    rng = np.random.default_rng(41)
+    loops = [
+        (conic._CHOLESKY, np.linalg.cholesky),
+        (conic._EIGVALSH, np.linalg.eigvalsh),
+        (conic._SVD, np.linalg.svd),
+    ]
+
+    def outcome(fn, a):
+        try:
+            out = fn(a)
+        except np.linalg.LinAlgError as exc:
+            return str(exc)
+        return [v.tobytes() for v in (out if isinstance(out, tuple) else (out,))]
+
+    for order in (1, 8, 20):
+        pd = np.array([[rand_pd(order, rng) for _ in range(3)] for _ in range(2)])
+        indefinite = pd - 2.0 * np.abs(pd).max() * np.eye(order)
+        stacks = [pd, indefinite, np.where(pd > pd.mean(), np.nan, pd), np.full_like(pd, np.inf)]
+        for a, (mine, theirs) in itertools.product(stacks, loops):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert outcome(mine, a) == outcome(theirs, a)
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    assert outcome(mine, a) == outcome(theirs, a)
+    assert outcome(conic._CHOLESKY, indefinite) == "Matrix is not positive definite"
 
 
 def test_breakdowns_leak_no_runtime_warnings():
