@@ -836,10 +836,11 @@ class _Scaling:
     svec layout of x; G = A F acts on xbar through _Patterned.dot, and
     unscale maps the pair to (dx, ds). R, Rinv and lam hold each part's
     factors, keyed by the part, Rt and Rinvt the transposes of R and Rinv,
-    isq 1 / sqrt(lam) on the PSD parts, and lam_vec lambda in the svec layout. On a PSD block F V = R V R^T,
-    F^T V = R^T V R and F^-T V = Rinv^T V Rinv: one congruence M^T V M with
-    M = R^T, R or Rinv. On the NonNeg block F is the diagonal
-    R = sqrt(x / s), and it has no Rinv.
+    isq 1 / sqrt(lam) on the PSD parts, and lam_vec lambda in the svec
+    layout. On a PSD block F V = R V R^T, F^T V = R^T V R and
+    F^-T V = Rinv^T V Rinv: one congruence M^T V M with M = R^T, R or Rinv.
+    On the NonNeg block F is the diagonal R = sqrt(x / s), and it has no
+    Rinv.
     """
 
     def __init__(self, ws: _Workspace, xs: np.ndarray):
