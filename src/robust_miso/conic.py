@@ -46,20 +46,26 @@ complement, which are formed only on the (row, block) pairs of the parts
 with nonempty support. The blocks supported on every row share one dense
 matrix that enters the Schur complement as a single symmetric product; every
 other block adds its own square on its support rows. Products with G take
-the same split. Products with A go through one scipy CSR copy of A, built
-from the same list, and products with A^T through its transpose, a CSC view
-of the same arrays. Each sums the products of an output entry from 0.0 in
-the order in which np.bincount accumulates the row-major nonzeros:
-csr_matvec a row of A in ascending column order, csc_matvec a column in
-ascending row order. So the products keep bincount's bits (scipy's x86-64
-builds do not contract these sums into FMA). np.add.reduceat would round
-differently: it sums each segment pairwise. A whole layout, every block full
-and in x's column order as in the m = 3 programs, takes A's own products,
-which cost less than scipy's call there. Every part gathers its blocks from
-an n-vector with one take through a table built with the layout (the
-position of every matrix entry, divided by its svec scale), and scatters
-them back with one take of the upper triangles. The Schur complement is
-factored and solved by LAPACK potrf and potrs, called directly.
+the same split. Products with A call scipy's compiled csr_matvec on the
+arrays of one CSR copy of A, built from the same list, and products with
+A^T its csc_matvec on the same three arrays, which hold A^T in CSC form.
+Each call adds into a fresh zero vector, which is what csr_array @ u and
+csr_array.T @ y run after scipy's Python dispatch: the kernel, the zero
+start of every sum and so every bit are scipy's, and the dispatch's 20 or
+so calls per product are skipped. Each kernel sums the products of an
+output entry from 0.0 in the order in which np.bincount accumulates the
+row-major nonzeros: csr_matvec a row of A in ascending column order,
+csc_matvec a column in ascending row order. So the products keep bincount's
+bits (scipy's x86-64 builds do not contract these sums into FMA).
+np.add.reduceat would round differently: it sums each segment pairwise. A
+whole layout, every block full and in x's column order as in the m = 3
+programs, takes A's own products, which cost less than the kernels' call
+there. Every part gathers its blocks from an n-vector with one take through
+a table built with the layout (the position of every matrix entry, divided
+by its svec scale), and scatters them back with one take of a flat table of
+all its blocks' upper triangles and one product with their tiled svec
+scales. The Schur complement is factored and solved by LAPACK potrf and
+potrs, called directly.
 
 The layout depends on A's nonzero positions, not on its values, so solves
 of one pattern share it: a module-level cache keeps the layouts of the
@@ -144,7 +150,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.linalg import _umath_linalg
 import scipy.linalg as sla
-from scipy.sparse import csr_array
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 DEFAULT_TOL_FEAS = 1e-8
 DEFAULT_TOL_GAP = 1e-8
@@ -344,6 +350,10 @@ class SolverSettings:
         for name in ("tol_feas", "tol_gap", "tol_inf"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        # A bool is an int to Python, but no iteration count.
+        count = self.max_iter
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 0:
+            raise ValueError("max_iter must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -458,12 +468,14 @@ class _Part:
     (every NonNeg column, as one block). cols (q, d) holds the blocks'
     columns and rows (q, size) their supports. A part with rows None goes
     to G's full matrix, unless the solve factors it (see _Factored); where
-    in that matrix is the workspace's. entries (q, p*p) holds the position
-    in an n-vector of every matrix entry of every block and dec their svec
-    divisors, so one take gathers a part; diag (q, p) holds the positions of
-    the blocks' diagonals, or the NonNeg columns; upper and enc are the svec
-    table of its order. A part depends on A's nonzero positions only, and
-    its arrays are read-only: a _Pattern shares it across solves.
+    in that matrix is the workspace's. entries (q, p, p) holds the position
+    in an n-vector of every matrix entry of every block and dec (p, p) their
+    svec divisors, so one take gathers a part; diag (q, p) holds the
+    positions of the blocks' diagonals, or the NonNeg columns; upper and enc
+    are the svec table of its order, and uppers and encs the same over the
+    part's q p^2 matrix entries, so one take and one product scatter it.
+    row_list holds rows flat. A part depends on A's nonzero positions only,
+    and its arrays are read-only: a _Pattern shares it across solves.
     """
 
     def __init__(self, order: int | None, cols: np.ndarray, rows: np.ndarray | None):
@@ -475,10 +487,15 @@ class _Part:
         self.col_index = _index(cols)
         self.entries = self.diag = cols
         if order is not None:
+            q, p2 = len(cols), order * order
             self.upper, self.enc, pos = _svec_index(order)
-            self.entries, self.dec = cols[:, pos], self.enc[pos]
+            self.entries = cols[:, pos].reshape(q, order, order)
+            self.dec = self.enc[pos].reshape(order, order)
             self.diag = cols[:, pos[:: order + 1]]
+            self.uppers = (np.arange(0, q * p2, p2)[:, None] + self.upper).ravel()
+            self.encs = np.tile(self.enc, q)
         if rows is not None:
+            self.row_list = rows.ravel()
             self.row_index = _index(rows)
             self.squares = []
             for r in rows:
@@ -490,18 +507,16 @@ class _Part:
         input: (..., q, p, p) symmetric matrices, or the (..., 1, length)
         entries of the NonNeg block."""
         vals = v.take(self.entries, axis=-1)
-        if self.order is None:
-            return vals
-        return (vals / self.dec).reshape(vals.shape[:-1] + (self.order, self.order))
+        return vals if self.order is None else vals / self.dec
 
     def scatter(self, out: np.ndarray, blocks: np.ndarray) -> None:
         """Writes the blocks, as gather returns them, into the n-vector out or
         the rows of a stacked (k, n) out. The columns are indexed through .T,
         numpy's fast path for an n-vector."""
+        vals = blocks.reshape(out.shape[:-1] + (-1,))
         if self.order is not None:
-            flat = blocks.reshape(blocks.shape[:-2] + (-1,))
-            blocks = flat.take(self.upper, axis=-1) * self.enc
-        out.T[self.col_index] = blocks.reshape(out.shape[:-1] + (-1,)).T
+            vals = vals.take(self.uppers, axis=-1) * self.encs
+        out.T[self.col_index] = vals.T
 
 
 class _Pattern:
@@ -560,7 +575,7 @@ class _Pattern:
 # Patterns of recent solves, keyed by the cone tuple, m and the sha256 of A's
 # row-major nonzero list, least recently used first. At most _PATTERN_CACHE:
 # a Monte-Carlo study or an audit uses a few, tools/solve_digest.py's seeded
-# set 20. A pattern holds about 9 KB of tables at 4x3 and 52 KB at 8x7.
+# set 20. A pattern holds about 17 KB of arrays at 4x3 and 120 KB at 8x7.
 _PATTERNS: dict[tuple, _Pattern] = {}
 _PATTERN_CACHE = 32
 _PATTERN_LOCK = threading.Lock()
@@ -587,21 +602,22 @@ class _Workspace:
     """A solve's values on its _Pattern: A's values, the products with A and
     the buffers of every iteration.
 
-    layout, parts, nu and e are the pattern's. Blocks supported on every row
-    share one full matrix, unless their part is factored (see _Factored),
-    which depends on A's values. a_mats holds A's PSD blocks as matrices on
-    their support rows, or for a factored part the matrices of its basis,
-    which every block shares; g and schur hold G and the Schur complement,
-    then its factor, for every iteration; g_chunks holds the views that
-    scaled_gram writes G through. a_dot and a_tdot are the products with A
-    and A^T: of its CSR copy and that copy's CSC transpose, or of A itself
-    when the layout is whole.
+    layout, parts, nu and e are the pattern's, and n is x's length. Blocks
+    supported on every row share one full matrix, unless their part is
+    factored (see _Factored), which depends on A's values. a_mats holds A's
+    PSD blocks as matrices on their support rows, or for a factored part the
+    matrices of its basis, which every block shares; g and schur hold G and
+    the Schur complement, then its factor, for every iteration; g_chunks
+    holds the views that scaled_gram writes G through. a_dot and a_tdot are
+    the products with A and A^T: scipy's kernels on the arrays of its CSR
+    copy (see _matvec), or A's own when the layout is whole.
     """
 
     def __init__(self, prog: ConicProgram):
         self.prog = prog
         a = prog.A
         m, n = a.shape
+        self.n = n
         # A's nonzeros, read once in row-major order; np.flatnonzero(a) on the
         # floats would take longer than on a != 0.
         flat = np.flatnonzero(a != 0)
@@ -646,19 +662,20 @@ class _Workspace:
         g_full = np.empty((m, stop), order="C" if isinstance(self.full_cols, slice) else "F")
         self.g = _Patterned(self.full_cols, g_full, offsets, narrow, low_rank, n)
         self.schur = np.empty((m, m))
-        # Products with A itself read only its nonzeros, through one CSR copy
-        # of A and its transpose, a CSC view of the same arrays, unless every
+        # Products with A itself read only its nonzeros, through the arrays of
+        # one CSR copy of A, which are also A^T's in CSC form, unless every
         # block is full and in x's column order: then they are products with
-        # A, which cost less than scipy's call at m = 3. The CSR is built from
-        # the nonzero list; csr_array(a) would scan A's floats again. The list
-        # is dropped before G's chunk scratch is allocated, at the peak of the
-        # workspace's memory.
+        # A, which cost less than the kernels' call at m = 3. The CSR is built
+        # from the nonzero list; csr_array(a) would scan A's floats again. The
+        # list is dropped before G's chunk scratch is allocated, at the peak
+        # of the workspace's memory.
         self.a_dot, self.a_tdot = a.__matmul__, a.T.__matmul__
         if not self.g.whole:
             nz_rows, nz_cols = divmod(flat, n)
             indptr = np.searchsorted(nz_rows, np.arange(m + 1)).astype(np.int32)
-            csr = csr_array((a.ravel()[flat], nz_cols.astype(np.int32), indptr), shape=(m, n))
-            self.a_dot, self.a_tdot = csr.__matmul__, csr.T.__matmul__
+            csr = (indptr, nz_cols.astype(np.int32), a.ravel()[flat])
+            self.a_dot = _matvec(csr_matvec, m, n, *csr)
+            self.a_tdot = _matvec(csc_matvec, n, m, *csr)
             del nz_rows, nz_cols
         del flat
         self.g_chunks = self._chunk_views(a_vals)
@@ -693,6 +710,21 @@ class _Workspace:
                     dest[:, lo : lo + steps[p]],
                 ))
         return views
+
+
+def _matvec(kernel, rows: int, cols: int, indptr, indices, data):
+    """The product of a real vector with the rows x cols matrix that scipy's
+    kernel (csr_matvec or csc_matvec) reads from indptr, indices and data.
+    The kernel adds into a fresh zero vector, as scipy's csr_array @ v runs
+    it after its dispatch, so each sum starts from 0.0 and every bit is
+    scipy's."""
+
+    def product(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(rows)
+        kernel(rows, cols, indptr, indices, data, v, out)
+        return out
+
+    return product
 
 
 class _Factored:
@@ -784,7 +816,7 @@ class _Patterned:
         for part, vals in self.narrow.items():
             v = np.matmul(vals, u[part.col_index].reshape(part.cols.shape + (1,)))
             # Supports of blocks in one part may share rows; bincount sums them.
-            out += np.bincount(part.rows.ravel(), v.ravel(), minlength=out.size)
+            out += np.bincount(part.row_list, v.ravel(), minlength=out.size)
         return out
 
     def tdot(self, y: np.ndarray) -> np.ndarray:
@@ -865,7 +897,7 @@ class _Scaling:
             self.lam[part] = sig
             self.isq[part] = isq
         # lambda is diagonal on every block: zero but on the layout's diagonals.
-        self.lam_vec = np.zeros(ws.prog.n)
+        self.lam_vec = np.zeros(ws.n)
         diag = np.concatenate([lam.ravel() for lam in self.lam.values()])
         self.lam_vec[ws.pattern.lam_pos] = diag
 
@@ -897,10 +929,11 @@ class _Scaling:
         """Rows given as their blocks, row i mapped by the i-th (mt, m, nonneg)
         of maps or all by a lone one: M^T V M on every PSD block V, with M =
         m[part] and M^T = mt[part], and nonneg(b, R) on the NonNeg entries b."""
-        out = np.empty((len(blocks[0]), self.ws.prog.n))
+        out = np.empty((len(blocks[0]), self.ws.n))
+        per_row = len(maps) > 1
         for part, b in zip(self.ws.layout, blocks):
-            step = np.empty_like(b)
-            groups = zip(b, step, maps) if len(maps) > 1 else [(b, step, maps[0])]
+            step = np.empty(b.shape)
+            groups = zip(b, step, maps) if per_row else [(b, step, maps[0])]
             for rows, row, (mt, m, nonneg) in groups:
                 if part.order is None:
                     nonneg(rows, self.R[part], out=row)
@@ -930,7 +963,7 @@ class _Scaling:
     def jordan(self, pair: list) -> np.ndarray:
         """Jordan product u o v of a pair (u, v) given as its blocks:
         (U V + V U) / 2 on PSD blocks."""
-        out = np.empty(self.ws.prog.n)
+        out = np.empty(self.ws.n)
         for part, (a, b) in zip(self.ws.layout, pair):
             part.scatter(out, a * b if part.order is None else 0.5 * (a @ b + b @ a))
         return out

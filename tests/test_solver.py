@@ -1,6 +1,7 @@
 """Tests for the dense conic interior-point solver."""
 
 import gc
+import inspect
 import itertools
 import sys
 import threading
@@ -12,7 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.optimize
-from scipy.sparse import csc_array, csr_array
+from scipy.sparse import csr_array
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 from hypothesis import given, settings, strategies as st
 
 from robust_miso import conic
@@ -365,6 +367,16 @@ def test_settings_reject_bad_tolerances(field):
             SolverSettings(**{field: value})
 
 
+def test_settings_reject_bad_iteration_limits():
+    """max_iter is a non-negative int: 2.5 would run 3 iterations, -3 would
+    stop at iteration 0 as if the limit were reached, and True is a bool."""
+    for value in (2.5, -3, True):
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverSettings(max_iter=value)
+    for value in (0, 7, np.int64(7)):
+        assert SolverSettings(max_iter=value).max_iter == value
+
+
 def test_breakdown_returns_failure_with_best_iterate():
     """A robust design at tiny noise and large channel gain breaks the
     iteration down numerically; the solve must report that, not raise."""
@@ -626,15 +638,19 @@ def product_programs(program):
     + ["fixed-4x3", "patterned", "full-supports"],
 )
 def test_a_products_match_bincount(program):
-    """Products with A go through one CSR copy of A and products with A^T
-    through its transpose, a CSC view of the same arrays, except in a whole
-    layout, which binds A's own products. csr_matvec sums each row of A from
-    0.0 in ascending column order and csc_matvec each column in ascending
-    row order, the orders in which np.bincount accumulates A's row-major
-    nonzeros, so on 20 vectors whose entries span 1e-8 to 1e8 both products
-    equal bincount's to the bit. That assumes a scipy build whose
-    csr_matvec and csc_matvec are not contracted into fused multiply-adds,
-    as in the x86-64 wheels; with FMA the products would round differently."""
+    """Products with A call scipy's csr_matvec on one CSR copy of A and
+    products with A^T its csc_matvec on the same arrays, read as the CSC
+    form of A^T, except in a whole layout, which binds A's own products.
+    csr_matvec sums each row of A from 0.0 in ascending column order and
+    csc_matvec each column in ascending row order, the orders in which
+    np.bincount accumulates A's row-major nonzeros, so on 20 vectors whose
+    entries span 1e-8 to 1e8 both products equal bincount's to the bit; so
+    they do on a strided view, a row of a stacked pair and an integer
+    vector. They are the kernels csr_array(A) @ u and csr_array(A).T @ y
+    run after scipy's dispatch, to the byte. That assumes a scipy build
+    whose csr_matvec and csc_matvec are not contracted into fused
+    multiply-adds, as in the x86-64 wheels; with FMA the products would
+    round differently."""
     rng = np.random.default_rng(28)
     wholes = []
     for prog in product_programs(program):
@@ -643,15 +659,33 @@ def test_a_products_match_bincount(program):
         if ws.g.whole:
             assert ws.a_dot.__self__ is prog.A and ws.a_tdot.__self__.base is prog.A
             continue
-        csr, csc = ws.a_dot.__self__, ws.a_tdot.__self__
-        assert isinstance(csr, csr_array) and isinstance(csc, csc_array)
-        assert np.shares_memory(csc.data, csr.data) and np.shares_memory(csc.indices, csr.indices)
+        dot_vars = inspect.getclosurevars(ws.a_dot).nonlocals
+        tdot_vars = inspect.getclosurevars(ws.a_tdot).nonlocals
+        assert dot_vars["kernel"] is csr_matvec and tdot_vars["kernel"] is csc_matvec
+        assert (dot_vars["rows"], dot_vars["cols"]) == (tdot_vars["cols"], tdot_vars["rows"])
+        assert (dot_vars["rows"], dot_vars["cols"]) == prog.A.shape
+        for name in ("indptr", "indices", "data"):
+            assert dot_vars[name] is tdot_vars[name]
+        assert len(dot_vars["indptr"]) == prog.m + 1
         dot, tdot = bincount_products(prog.A)
+        csr = csr_array(prog.A)
+        vectors = []
         for _ in range(20):
             u = rng.standard_normal(prog.n) * 10.0 ** rng.uniform(-8.0, 8.0, prog.n)
             y = rng.standard_normal(prog.m) * 10.0 ** rng.uniform(-8.0, 8.0, prog.m)
-            assert np.array_equal(ws.a_dot(u), dot(u))
-            assert np.array_equal(ws.a_tdot(y), tdot(y))
+            vectors.append((u, y))
+        wide_u, wide_y = rng.standard_normal(2 * prog.n), rng.standard_normal(2 * prog.m)
+        pair_u, pair_y = rng.standard_normal((2, prog.n)), rng.standard_normal((2, prog.m))
+        vectors += [
+            (wide_u[::2], wide_y[::2]),
+            (pair_u[1], pair_y[1]),
+            (rng.integers(-9, 10, prog.n), rng.integers(-9, 10, prog.m)),
+        ]
+        for u, y in vectors:
+            au, aty = ws.a_dot(u), ws.a_tdot(y)
+            assert au.dtype == aty.dtype == np.float64
+            assert np.array_equal(au, dot(u)) and au.tobytes() == (csr @ u).tobytes()
+            assert np.array_equal(aty, tdot(y)) and aty.tobytes() == (csr.T @ y).tobytes()
     # The m = 3 fixed programs and full supports in x's column order are
     # whole; the fixed duals add a narrow block.
     want = {"fixed-4x3": [True, False, False, True], "full-supports": [True, False]}
@@ -1106,10 +1140,13 @@ def svec_round_trip(v, cones):
 def test_part_gather_and_scatter_tables(program):
     """Each part gathers its blocks from a stacked pair with one take: smat
     of each row's columns to the bit, as the row alone gathers them, and
-    scatter writes back their svec, into the pair or into one n-vector. The
-    8x3 box program has a narrow NonNeg, a full W and a narrow Z part; the
-    m = 3 fixed program keeps every block in the full matrix. The step
-    limit of a pair is the smaller of its rows' limits."""
+    scatter writes back their svec, into the pair or into one n-vector. A
+    PSD part scatters through flat tables over all its blocks: a stacked
+    (k = 3) output gets, in each row, every block's upper triangle times its
+    svec scale to the bit. The 8x3 box program has a narrow NonNeg, a full W
+    and a narrow Z part; the m = 3 fixed program keeps every block in the
+    full matrix. The step limit of a pair is the smaller of its rows'
+    limits."""
     rng = np.random.default_rng(24)
     if program == "fixed-4x3":
         sc = sample_scenario(0, 4, 3, 1.0, 0.1, 0.1, 0.7)
@@ -1140,6 +1177,16 @@ def test_part_gather_and_scatter_tables(program):
         for row, u in zip(out, pair):
             assert np.array_equal(row, svec_round_trip(u, prog.cones))
         assert np.array_equal(first, out[0])
+    triple = np.full((3, prog.n), np.nan)
+    for part in ws.layout:
+        blocks = part.gather(rng.standard_normal((3, prog.n)))
+        part.scatter(triple, blocks)
+        for row, got in zip(triple, blocks):
+            if part.order is not None:
+                # The per-block reference: each block's upper triangle times enc.
+                got = got.reshape(len(got), -1).take(part.upper, axis=-1) * part.enc
+            assert row[part.cols].tobytes() == got.tobytes()
+    assert not np.isnan(triple).any()
     du, dv = rng.standard_normal((2, prog.n))
     pairs = [np.array(pair) for pair in ((du, dv), (du, du), (dv, dv))]
     limits = [scal.step_limit(scal.blocks(pair)) for pair in pairs]
