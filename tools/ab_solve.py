@@ -32,7 +32,8 @@ about half of the rounds.
 per iteration: the N most frequent of each side, from the same count, with
 each one's calls per iteration on both sides (PARENT -> CHANGE). A Python
 function shows as qualified name:first line, a C function by its qualified
-name.
+name; a Python function whose first line moved between the checkouts shows
+as two sites.
 
 The BLAS is pinned to one thread in every worker.
 """
