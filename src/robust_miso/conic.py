@@ -473,9 +473,9 @@ class _Part:
     svec divisors, so one take gathers a part; diag (q, p) holds the
     positions of the blocks' diagonals, or the NonNeg columns; upper and enc
     are the svec table of its order, and uppers and encs the same over the
-    part's q p^2 matrix entries, so one take and one product scatter it.
-    row_list holds rows flat. A part depends on A's nonzero positions only,
-    and its arrays are read-only: a _Pattern shares it across solves.
+    part's q p^2 matrix entries, so one take and one product scatter it. A
+    part depends on A's nonzero positions only, and its arrays are
+    read-only: a _Pattern shares it across solves.
     """
 
     def __init__(self, order: int | None, cols: np.ndarray, rows: np.ndarray | None):
@@ -495,7 +495,6 @@ class _Part:
             self.uppers = (np.arange(0, q * p2, p2)[:, None] + self.upper).ravel()
             self.encs = np.tile(self.enc, q)
         if rows is not None:
-            self.row_list = rows.ravel()
             self.row_index = _index(rows)
             self.squares = []
             for r in rows:
@@ -602,22 +601,21 @@ class _Workspace:
     """A solve's values on its _Pattern: A's values, the products with A and
     the buffers of every iteration.
 
-    layout, parts, nu and e are the pattern's, and n is x's length. Blocks
-    supported on every row share one full matrix, unless their part is
-    factored (see _Factored), which depends on A's values. a_mats holds A's
-    PSD blocks as matrices on their support rows, or for a factored part the
-    matrices of its basis, which every block shares; g and schur hold G and
-    the Schur complement, then its factor, for every iteration; g_chunks
-    holds the views that scaled_gram writes G through. a_dot and a_tdot are
-    the products with A and A^T: scipy's kernels on the arrays of its CSR
-    copy (see _matvec), or A's own when the layout is whole.
+    layout, parts, nu and e are the pattern's. Blocks supported on every row
+    share one full matrix, unless their part is factored (see _Factored),
+    which depends on A's values. a_mats holds A's PSD blocks as matrices on
+    their support rows, or for a factored part the matrices of its basis,
+    which every block shares; g and schur hold G and the Schur complement,
+    then its factor, for every iteration; g_chunks holds the views that
+    scaled_gram writes G through. a_dot and a_tdot are the products with A
+    and A^T: scipy's kernels on the arrays of its CSR copy (see _matvec), or
+    A's own when the layout is whole.
     """
 
     def __init__(self, prog: ConicProgram):
         self.prog = prog
         a = prog.A
         m, n = a.shape
-        self.n = n
         # A's nonzeros, read once in row-major order; np.flatnonzero(a) on the
         # floats would take longer than on a != 0.
         flat = np.flatnonzero(a != 0)
@@ -816,7 +814,7 @@ class _Patterned:
         for part, vals in self.narrow.items():
             v = np.matmul(vals, u[part.col_index].reshape(part.cols.shape + (1,)))
             # Supports of blocks in one part may share rows; bincount sums them.
-            out += np.bincount(part.row_list, v.ravel(), minlength=out.size)
+            out += np.bincount(part.rows.ravel(), v.ravel(), minlength=out.size)
         return out
 
     def tdot(self, y: np.ndarray) -> np.ndarray:
@@ -897,7 +895,7 @@ class _Scaling:
             self.lam[part] = sig
             self.isq[part] = isq
         # lambda is diagonal on every block: zero but on the layout's diagonals.
-        self.lam_vec = np.zeros(ws.n)
+        self.lam_vec = np.zeros(ws.prog.n)
         diag = np.concatenate([lam.ravel() for lam in self.lam.values()])
         self.lam_vec[ws.pattern.lam_pos] = diag
 
@@ -929,11 +927,10 @@ class _Scaling:
         """Rows given as their blocks, row i mapped by the i-th (mt, m, nonneg)
         of maps or all by a lone one: M^T V M on every PSD block V, with M =
         m[part] and M^T = mt[part], and nonneg(b, R) on the NonNeg entries b."""
-        out = np.empty((len(blocks[0]), self.ws.n))
-        per_row = len(maps) > 1
+        out = np.empty((len(blocks[0]), self.ws.prog.n))
         for part, b in zip(self.ws.layout, blocks):
             step = np.empty(b.shape)
-            groups = zip(b, step, maps) if per_row else [(b, step, maps[0])]
+            groups = zip(b, step, maps) if len(maps) > 1 else [(b, step, maps[0])]
             for rows, row, (mt, m, nonneg) in groups:
                 if part.order is None:
                     nonneg(rows, self.R[part], out=row)
@@ -963,7 +960,7 @@ class _Scaling:
     def jordan(self, pair: list) -> np.ndarray:
         """Jordan product u o v of a pair (u, v) given as its blocks:
         (U V + V U) / 2 on PSD blocks."""
-        out = np.empty(self.ws.n)
+        out = np.empty(self.ws.prog.n)
         for part, (a, b) in zip(self.ws.layout, pair):
             part.scatter(out, a * b if part.order is None else 0.5 * (a @ b + b @ a))
         return out

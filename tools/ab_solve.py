@@ -2,8 +2,7 @@
 """Interleaved A/B timing of conic.solve between two checkouts.
 
     python3 tools/ab_solve.py PARENT CHANGE [--rounds 21] [--passes 3] [--sets audit,4x3]
-                              [--calls N]
-    python3 tools/ab_solve.py --aa CHECKOUT [--rounds 21] [--calls N]
+    python3 tools/ab_solve.py --aa CHECKOUT [--rounds 21]
 
 PARENT and CHANGE are the roots of two checkouts of this repository (each
 with src/ and perfbench/). The programs are built once, by PARENT's code,
@@ -28,12 +27,12 @@ and the rounds that CHANGE won. --aa runs a checkout against itself, which
 calibrates the noise of the machine: its ratio should read 1 and its wins
 about half of the rounds.
 
---calls N prints, under each set's line, the call sites behind its calls
-per iteration: the N most frequent of each side, from the same count, with
-each one's calls per iteration on both sides (PARENT -> CHANGE). A Python
-function shows as qualified name:first line, a C function by its qualified
-name; a Python function whose first line moved between the checkouts shows
-as two sites.
+Under each set's line come the call sites behind its calls per iteration:
+the five most frequent of each side, from the same count, with each one's
+calls per iteration on both sides (PARENT -> CHANGE). A Python function
+shows as qualified name:first line, a C function by its qualified name; a
+Python function whose first line moved between the checkouts shows as two
+sites.
 
 The BLAS is pinned to one thread in every worker.
 """
@@ -122,7 +121,7 @@ def build(root: str, path: str) -> None:
 
 def _calls_per_iteration(conic, prog) -> tuple[float, dict]:
     """Python and C function calls of one solve over its iterations, in all
-    and per call site (see --calls)."""
+    and per call site."""
     sites = collections.Counter()
 
     def profile(frame, event, arg):
@@ -198,9 +197,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--rounds", type=int, default=21)
     parser.add_argument("--passes", type=int, default=3)
     parser.add_argument("--sets", default=",".join(SETS), help="comma-separated set names")
-    parser.add_argument(
-        "--calls", type=int, default=0, metavar="N", help="print the N most frequent call sites"
-    )
     parser.add_argument("--build", nargs=2, metavar=("ROOT", "PATH"), help=argparse.SUPPRESS)
     parser.add_argument("--work", nargs=2, metavar=("ROOT", "PATH"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -216,8 +212,8 @@ def main(argv: list[str]) -> int:
     sides = [args.aa, args.aa] if args.aa else args.checkouts
     if len(sides) != 2 or args.aa and args.checkouts:
         parser.error("give PARENT and CHANGE, or --aa CHECKOUT")
-    if args.rounds < 2 or args.passes < 1 or args.calls < 0:
-        parser.error("--rounds must be at least 2, --passes at least 1 and --calls at least 0")
+    if args.rounds < 2 or args.passes < 1:
+        parser.error("--rounds must be at least 2 and --passes at least 1")
     sides = [os.path.abspath(side) for side in sides]
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -254,15 +250,14 @@ def main(argv: list[str]) -> int:
             f"(quartiles {' '.join(f'{q:.3f}' for q in statistics.quantiles(ratios, n=4))}); "
             f"B won {won} of {len(ratios)}"
         )
-        if args.calls:
-            _print_sites(a["sites"], b["sites"], args.calls)
+        _print_sites(a["sites"], b["sites"])
     return 1 if failed else 0
 
 
-def _print_sites(a: dict, b: dict, count: int) -> None:
-    """The count most frequent call sites of each side, most frequent first,
+def _print_sites(a: dict, b: dict) -> None:
+    """The five most frequent call sites of each side, most frequent first,
     with their calls per iteration on both sides."""
-    top = {site for sites in (a, b) for site in sorted(sites, key=sites.get, reverse=True)[:count]}
+    top = {site for sites in (a, b) for site in sorted(sites, key=sites.get, reverse=True)[:5]}
     for site in sorted(top, key=lambda site: (-max(a.get(site, 0), b.get(site, 0)), site)):
         print(f"  {site}: {a.get(site, 0):.1f} -> {b.get(site, 0):.1f}")
 
