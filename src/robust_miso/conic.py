@@ -126,11 +126,11 @@ eigenvalues. The handler, like the iteration limit, returns
 NUMERICAL_FAILURE carrying the best iterate seen so far and a message naming
 the cause. The only in-loop remedies are a diagonal jitter when the Schur
 complement will not factor and a QR re-solve of a KKT system that Cholesky
-solved inaccurately. The QR factors G^T, formed one column at a time as
-G^T e_i by the same tdot that the KKT solves apply, so it factors exactly
-the G of dot and tdot. Every outcome counts the remedies in its stats: the
-Schur factorizations that potrf rejected, and the QR re-solves tried and
-taken (whose refined residual beat Cholesky's).
+solved inaccurately. The QR factors G^T, formed in one stacked call of the
+tdot that the KKT solves apply, on the m rows of the identity, so it
+factors exactly the G of dot and tdot. Every outcome counts the remedies
+in its stats: the Schur factorizations that potrf rejected, and the QR
+re-solves tried and taken (whose refined residual beat Cholesky's).
 
 Free variables are not supported; callers encode them with equalities plus
 cone blocks. Complex Hermitian blocks enter through their 2n x 2n real

@@ -43,8 +43,8 @@ from .hermitian import (
 
 # Positive-definiteness floor for ellipsoid shape matrices.
 ELLIPSOID_MIN_EIG = 1e-10
-# Random-corner cap for the box's sampled worst-case lower bound.
-WORST_CASE_SAMPLE_CAP = 1 << 16
+# Sweep cap of the box's coordinate-ascent lower end.
+BOX_ASCENT_SWEEPS = 1000
 
 
 def gamma_from_rate(rate):
@@ -580,18 +580,31 @@ def _box_corner_max(amat: np.ndarray, lin: np.ndarray, width: float) -> float:
     return float(np.max(f1[:, None] + f2[None, :] + 2.0 * width**2 * cross))
 
 
-def _box_samples(rng: np.random.Generator, presumed: np.ndarray, width: float, lin: np.ndarray) -> np.ndarray:
-    """Phase-aligned, random and zero points of the per-entry modulus box
-    around presumed, led by WORST_CASE_SAMPLE_CAP random corners when the box
-    has more corners than that (fewer are all covered by _box_corner_max)."""
-    n = presumed.size
-    errs = []
-    if 4**n > WORST_CASE_SAMPLE_CAP:
-        errs.append(_BOX_PHASES[rng.integers(0, 4, size=(WORST_CASE_SAMPLE_CAP, n))])
-    phases = np.exp(1j * np.angle(lin))[None, :]
-    extra = rng.random((256, n)) * np.exp(2j * np.pi * rng.random((256, n)))
-    errs += [phases, -phases, extra, np.zeros((1, n))]
-    return presumed[None, :] + width * np.concatenate(errs)
+def _box_ascent(amat: np.ndarray, lin: np.ndarray, width: float) -> tuple[float, np.ndarray]:
+    """Coordinate ascent of f(e) = 2 w Re(e^H lin) + w^2 e^H A e, w = width,
+    over the box |e_j| <= 1; returns the best value of f it reached and the
+    point e where it did.
+
+    Starts at the phase-aligned point e_j = lin_j / |lin_j| (1 where lin_j
+    is 0) and sets each e_j in turn to the maximizer of f over |e_j| <= 1
+    with the others fixed. With g = lin_j + w sum_{l != j} A_jl e_l, that
+    is g / max(|g|, -w A_jj): -g / (w A_jj) when A_jj < 0 and
+    |g| <= w |A_jj|, and g / |g| otherwise (1 at g = 0 when A_jj >= 0).
+    No step lowers f. The sweeps stop at the first one that leaves f no
+    higher, or after BOX_ASCENT_SWEEPS: where A's concave part is
+    ill-conditioned the ascent zig-zags for tens of thousands of sweeps.
+    """
+    diag = amat.diagonal().real
+    e, best, at = np.exp(1j * np.angle(lin)), -np.inf, None
+    for _ in range(BOX_ASCENT_SWEEPS):
+        value = width * np.vdot(e, 2.0 * lin + width * (amat @ e)).real
+        if value <= best:
+            break
+        best, at = value, e.copy()
+        for j in range(lin.size):
+            g = lin[j] + width * (amat[j] @ e - diag[j] * e[j])
+            e[j] = g / max(abs(g), -width * diag[j]) if g != 0.0 or diag[j] < 0.0 else 1.0
+    return float(best), at
 
 
 def _ball_radius(scenario: ChannelScenario) -> np.ndarray:
@@ -653,13 +666,12 @@ def worst_case_margin(design, scenario: ChannelScenario, user: int):
     and the edge is a trust-region subproblem on that direction's
     complement; the value is returned as both ends of a (lower, upper)
     pair. The box has no tractable exact oracle here, so it gets a bracket:
-    the upper end from the circumscribed ball, the lower end from
-    deterministic sampling. For N <= 8 the lower end is the exact maximum
-    over all 4^N corners (every entry hbar_j + w {1, j, -1, -j}), found from
-    two half-grids, and over the phase-aligned, random and zero points; for
-    larger N, WORST_CASE_SAMPLE_CAP random corners take the place of the
-    full set. design may be a DesignSolution or a stacked (K, N, N) array
-    of covariances.
+    the upper end from the circumscribed ball, the lower end from members of
+    the box: hbar itself and the point that coordinate ascent reaches from
+    the phase-aligned member hbar_j + w lin_j / |lin_j|, lin = A hbar, and
+    for N <= 8 also the exact maximum over all 4^N corners (every entry
+    hbar_j + w {1, j, -1, -j}), found from two half-grids. design may be a
+    DesignSolution or a stacked (K, N, N) array of covariances.
     """
     w = design.W if isinstance(design, DesignSolution) else np.asarray(design, dtype=complex)
     n, k = scenario.n_antennas, scenario.n_users
@@ -689,12 +701,8 @@ def worst_case_margin(design, scenario: ChannelScenario, user: int):
     if isinstance(model, SphereUncertainty):
         return const + val
     width = model.halfwidth[user]
-    chans = _box_samples(np.random.default_rng(0), hb, width, lin)
-    quad = ((chans.conj() @ amat) * chans).sum(axis=1).real
-    lower = float(np.max(quad) + scenario.noise_power[user])
-    if 4**n <= WORST_CASE_SAMPLE_CAP:
-        lower = max(lower, const + _box_corner_max(amat, lin, width))
-    return lower, const + val
+    corners = _box_corner_max(amat, lin, width) if n <= 8 else 0.0
+    return const + max(0.0, corners, _box_ascent(amat, lin, width)[0]), const + val
 
 
 def extract_solution(maps, outcome: SolveOutcome) -> DesignSolution:

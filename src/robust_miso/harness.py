@@ -88,8 +88,11 @@ class StudyConfig:
             raise ValueError("trials must be at least 1")
         if not rates or any(b <= a for a, b in zip(rates, rates[1:])):
             raise ValueError("rates must be nonempty and strictly increasing")
-        if min(rates) <= 0.0:
-            raise ValueError("rates must be positive")
+        if not all(0.0 < r < np.inf for r in rates):
+            raise ValueError("rates must be positive and finite")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         for name in ("noise_power", "eps2", "rho"):
             if not 0.0 < float(getattr(self, name)) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")

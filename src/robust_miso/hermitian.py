@@ -32,13 +32,12 @@ HERM_ATOL = 1e-10
 def is_hermitian(x: np.ndarray, atol: float = HERM_ATOL) -> bool:
     """True if x is square and equals its conjugate transpose within atol."""
     x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1] or not np.all(np.isfinite(x)):
-        return False
-    return bool(np.max(np.abs(x - x.conj().T)) <= atol * max(1.0, np.max(np.abs(x))))
+    return x.ndim == 2 and x.shape[0] == x.shape[1] and all_hermitian(x[None], atol)
 
 
 def all_hermitian(stack: np.ndarray, atol: float = HERM_ATOL) -> bool:
-    """is_hermitian of every matrix of a stacked (K, n, n) array, in one pass."""
+    """True if every matrix of a stacked (K, n, n) array is finite and equals
+    its conjugate transpose within atol times max(1, its largest entry)."""
     if not np.all(np.isfinite(stack)):
         return False
     skew = np.max(np.abs(stack - np.swapaxes(stack.conj(), -1, -2)), axis=(1, 2))

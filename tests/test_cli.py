@@ -434,6 +434,24 @@ class TestStudyCommands:
             assert not out.exists()
 
     @pytest.mark.parametrize("command", ["rank-study", "cert-study"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "-1"], "seed must be a non-negative integer"),
+            (["--rates", "nan"], "rates must be positive and finite"),
+            (["--rates", "1,inf"], "rates must be positive and finite"),
+        ],
+        ids=["negative-seed", "nan-rate", "inf-rate"],
+    )
+    def test_bad_study_seed_or_rates_exit_three(self, tmp_path, capsys, command, flags, message):
+        out = tmp_path / "x.csv"
+        rc = cli.main([command, "--n", "2", "--k", "2", "--rates", "0.5", "--trials", "1",
+                       *flags, "--out", str(out)])
+        assert rc == 3
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["rank-study", "cert-study"])
     def test_empty_study_shape_exits_three(self, tmp_path, capsys, command):
         out = tmp_path / "x.csv"
         for n, k in (("0", "2"), ("2", "0")):

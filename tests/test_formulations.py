@@ -22,8 +22,8 @@ from robust_miso.formulations import (
     extract_solution,
     gamma_from_rate,
     _ball_radius,
+    _box_ascent,
     _box_corner_max,
-    _box_samples,
     _fdd_worst,
     worst_case_margin,
 )
@@ -642,6 +642,23 @@ def margin_matrix(w, gamma, user):
     return 0.5 * (amat + amat.conj().T)
 
 
+def former_box_samples(lin):
+    """Points e of the unit box that the box lower end once maximized over,
+    with the same draws: every corner of {1, j, -1, -j}^N for N <= 8 or
+    65,536 random corners beyond, the phase-aligned point lin / |lin| and its
+    negation, 256 random points and 0."""
+    n = lin.size
+    draws = np.random.default_rng(0)
+    phases = np.array([1, 1j, -1, -1j])
+    if 4**n > 1 << 16:
+        corners = phases[draws.integers(0, 4, size=(1 << 16, n))]
+    else:
+        corners = phases[np.indices((4,) * n).reshape(n, -1).T]
+    aligned = np.exp(1j * np.angle(lin))[None, :]
+    extra = draws.random((256, n)) * np.exp(2j * np.pi * draws.random((256, n)))
+    return np.concatenate([corners, aligned, -aligned, extra, np.zeros((1, n))])
+
+
 def fdd_witness(amat, hb, delta):
     """A member h of the feedback set around hb whose value h^H amat h is the
     S-lemma bound min over t >= 0 of ||hb||^2 lam_max(amat + t B),
@@ -800,7 +817,7 @@ class TestWorstCaseMargin:
     def test_ball_radius_reaches_farthest_member(self):
         """_ball_radius is each user's largest admissible deviation: one
         member of the error set is that far from the presumed channel, and
-        the box oracle's samples are no farther."""
+        the box ascent's points are no farther."""
         rng = np.random.default_rng(61)
         hb = random_channels(rng, 3, 2)
         q, _ = np.linalg.qr(random_channels(rng, 3, 3))
@@ -821,7 +838,7 @@ class TestWorstCaseMargin:
             (
                 BoxUncertainty([0.1, 0.1]),
                 lambda h: h + 0.1j * np.ones(3),
-                lambda h: _box_samples(rng, h, 0.1, h),
+                lambda h: h + 0.1 * _box_ascent(random_hermitian(rng, 3), h, 0.1)[1][None, :],
             ),
             (FddUncertainty(delta), fdd_far, None),
         ]
@@ -848,11 +865,11 @@ class TestWorstCaseMargin:
             want = max(want, value)
         assert _box_corner_max(amat, lin, width) == pytest.approx(want, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 4, 8])
-    def test_box_lower_bracket_matches_full_enumeration(self, n):
-        """The lower end over all 4^n corners plus the phase-aligned, random
-        and zero points, each channel evaluated on its own. The boxes are wide
-        enough that a corner sets the maximum for some users at n = 4 and 8."""
+    @pytest.mark.parametrize("n", [1, 4, 8, 9, 16])
+    def test_box_lower_end_at_or_above_former_samples(self, n):
+        """The lower end is at or above the maximum over the sample set it
+        replaced, each channel evaluated on its own. The boxes are wide
+        enough that random points beat the phase-aligned one on some users."""
         rng = np.random.default_rng(80 + n)
         k, noise = 2, 0.1
         sc = ChannelScenario(
@@ -861,23 +878,20 @@ class TestWorstCaseMargin:
         g = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
         w = 0.05 * np.einsum("kij,klj->kil", g, g.conj())
         for user in range(k):
-            amat = w.sum(axis=0) - w[user] - w[user] / sc.gamma[user]
-            amat = 0.5 * (amat + amat.conj().T)
+            amat = margin_matrix(w, sc.gamma, user)
             hb, width = sc.presumed[:, user], sc.uncertainty.halfwidth[user]
-            grids = np.meshgrid(*([np.array([1, 1j, -1, -1j])] * n), indexing="ij")
-            corners = np.stack([grid.reshape(-1) for grid in grids], axis=1)
-            phases = np.exp(1j * np.angle(amat @ hb))[None, :]
-            draws = np.random.default_rng(0)
-            extra = draws.random((256, n)) * np.exp(2j * np.pi * draws.random((256, n)))
-            errs = np.concatenate([corners, phases, -phases, extra, np.zeros((1, n))])
-            chans = hb + width * errs
-            want = noise + np.einsum("sn,nm,sm->s", chans.conj(), amat, chans).real.max()
-            lower, _ = worst_case_margin(w, sc, user)
-            assert lower == pytest.approx(want, abs=1e-12 * noise)
+            chans = hb + width * former_box_samples(amat @ hb)
+            floor = noise + np.einsum("sn,nm,sm->s", chans.conj(), amat, chans).real.max()
+            lower, upper = worst_case_margin(w, sc, user)
+            assert lower >= floor - 1e-12 * (abs(floor) + noise)
+            assert lower <= upper + 1e-12 * (abs(upper) + noise)
+            if n == 1:
+                # The one-entry box is the circumscribed disk, which the ascent solves.
+                assert lower == pytest.approx(upper, abs=1e-12 * (abs(upper) + noise))
 
     def test_box_random_corners_pinned(self):
-        # Beyond 4^8 corners the lower end samples random corners; these are
-        # the values of the full-sample evaluation.
+        # Beyond 4^8 corners the lower end once sampled 65,536 random corners;
+        # those lower ends are floors now, and the upper ends stay pinned.
         rng = np.random.default_rng(71)
         n, k = 9, 2
         sc = ChannelScenario(
@@ -889,28 +903,49 @@ class TestWorstCaseMargin:
             (-0.20207535768421167, -0.14054213816493877),
             (-1.9969505996707002, -1.877154916062497),
         ]
-        for user, (lower, upper) in enumerate(pinned):
+        for user, (floor, upper) in enumerate(pinned):
             got = worst_case_margin(w, sc, user)
-            assert got[0] == pytest.approx(lower, rel=1e-12)
+            assert got[0] >= floor * (1.0 + 1e-12)
             assert got[1] == pytest.approx(upper, rel=1e-12)
 
-    @pytest.mark.parametrize("n, k, model", [(16, 2, BoxUncertainty([0.05, 0.1]))], ids=["box-16"])
-    def test_sampled_lower_bracket_matches_einsum(self, n, k, model):
-        """The sampled lower end equals the maximum over the same sample set
-        evaluated by the three-operand einsum, channel by channel."""
-        rng = np.random.default_rng(90 + n)
-        noise = 0.1
-        sc = ChannelScenario(random_channels(rng, n, k), [noise] * k, [1.0] * k, model)
-        g = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
-        w = 0.05 * np.einsum("kij,klj->kil", g, g.conj())
-        for user in range(k):
-            amat = w.sum(axis=0) - w[user] - w[user] / sc.gamma[user]
-            amat = 0.5 * (amat + amat.conj().T)
-            hb = sc.presumed[:, user]
-            chans = _box_samples(np.random.default_rng(0), hb, model.halfwidth[user], amat @ hb)
-            want = noise + np.einsum("sn,nm,sm->s", chans.conj(), amat, chans).real.max()
-            lower, _ = worst_case_margin(w, sc, user)
-            assert lower == pytest.approx(want, abs=1e-12 * noise)
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_box_ascent_point_attains_value(self, n):
+        """The ascent's point lies in the box, attains the returned value and
+        is no worse than the phase-aligned start."""
+        rng = np.random.default_rng(60 + n)
+        for width in (0.05, 2.0):
+            amat = random_hermitian(rng, n)
+            lin = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+            def f(e):
+                return 2 * width * np.vdot(e, lin).real + width**2 * np.vdot(e, amat @ e).real
+
+            value, e = _box_ascent(amat, lin, width)
+            scale = width * np.abs(lin).sum() + width**2 * n * np.linalg.norm(amat, 2)
+            assert np.all(np.abs(e) <= 1.0 + 1e-15)
+            assert value == pytest.approx(f(e), abs=1e-12 * scale)
+            assert value >= f(np.exp(1j * np.angle(lin))) - 1e-12 * scale
+
+    def test_box_ascent_zero_gradient(self):
+        # With lin = 0 and a diagonal A every g is 0: a convex entry stays on
+        # the unit circle and a concave one moves to 0.
+        value, e = _box_ascent(np.diag([1.0, -1.0]).astype(complex), np.zeros(2, dtype=complex), 0.5)
+        assert value == 0.25
+        np.testing.assert_array_equal(e, [1.0, 0.0])
+
+    def test_box_ascent_sweep_cap(self, monkeypatch):
+        """The cap bounds the sweeps: at one, the ascent returns the
+        phase-aligned start, though the full ascent climbs above it."""
+        rng = np.random.default_rng(63)
+        amat = random_hermitian(rng, 4)
+        lin = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        start = np.exp(1j * np.angle(lin))
+        full, _ = _box_ascent(amat, lin, 0.1)
+        monkeypatch.setattr(formulations, "BOX_ASCENT_SWEEPS", 1)
+        capped, e = _box_ascent(amat, lin, 0.1)
+        np.testing.assert_array_equal(e, start)
+        assert capped == 0.1 * np.vdot(start, 2.0 * lin + 0.1 * (amat @ start)).real
+        assert full > capped
 
     @pytest.mark.parametrize("delta", [0.1, 0.3, 0.9, 1.4])
     def test_fdd_aligned_single_user_closed_form(self, delta):

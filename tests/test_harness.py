@@ -106,6 +106,19 @@ class TestStudyConfig:
         with pytest.raises(ValueError):
             StudyConfig(n_antennas=4, n_users=2, rates=(0.0, 1.0), trials=1)
 
+    @pytest.mark.parametrize("rates", [(float("nan"),), (1.0, float("inf")), (0.5, float("nan"))])
+    def test_rejects_nonfinite_rates(self, rates):
+        with pytest.raises(ValueError, match="rates must be positive and finite"):
+            StudyConfig(n_antennas=4, n_users=2, rates=rates, trials=1)
+
+    @pytest.mark.parametrize("seed", [-1, True, 2.0, "3", None])
+    def test_rejects_seed_that_is_not_a_nonnegative_int(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            StudyConfig(n_antennas=4, n_users=2, rates=(1.0,), trials=1, seed=seed)
+
+    def test_accepts_numpy_integer_seed(self):
+        assert StudyConfig(n_antennas=4, n_users=2, rates=(1.0,), trials=1, seed=np.int64(3)).seed == 3
+
 
 class TestRankStudy:
     def test_easy_cell_all_feasible_rank_one(self):
